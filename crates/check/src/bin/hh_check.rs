@@ -5,7 +5,7 @@
 //!
 //! 1. cache traces (mixed shared/private keys, writes, harvest-restricted
 //!    masks, region flushes, HarvestMask reloads) replayed through the
-//!    optimized SoA cache and the naive reference, across geometries ×
+//!    optimized cache and the naive reference, across geometries ×
 //!    all replacement policies × mask schedules;
 //! 2. the Belady bound and partition invariant over the same traces;
 //! 3. sample-set traces hitting the selection, cached-sort and empty-set
@@ -112,7 +112,9 @@ fn phase_trace(ways: usize) -> OpTrace {
 }
 
 fn check_cache_suite(failures: &mut u32, checks: &mut u32) {
-    let geometries = [(4usize, 4usize), (16, 8), (64, 16)];
+    // 12 and 9 sets take the `%` set index (the LLC's path, 9·2¹³ sets);
+    // the power-of-two counts take the mask.
+    let geometries = [(4usize, 4usize), (16, 8), (64, 16), (12, 8), (9, 16)];
     let policies = [
         PolicyKind::Lru,
         PolicyKind::Rrip,

@@ -1,9 +1,10 @@
 //! # hh-check — differential oracle and invariant suite
 //!
-//! The reproduction's hot paths are deliberately clever: the
-//! struct-of-arrays [`hh_mem::SetAssocCache`] with packed metadata bytes,
-//! the selection-based percentile estimator in [`hh_sim::stats::Samples`],
-//! and the memoizing parallel executor in [`hh_core::RunPlan`]. This crate
+//! The reproduction's hot paths are deliberately clever: the set-block
+//! [`hh_mem::SetAssocCache`] with packed stamp/metadata words and per-set
+//! valid bitmasks, the selection-based percentile estimator in
+//! [`hh_sim::stats::Samples`], and the memoizing parallel executor in
+//! [`hh_core::RunPlan`]. This crate
 //! keeps them honest with three tools:
 //!
 //! * **Reference models** ([`RefCache`], [`RefSamples`],

@@ -1,12 +1,13 @@
 //! Naive array-of-structs reference model of [`hh_mem::SetAssocCache`].
 //!
-//! The optimized cache packs its state into struct-of-arrays storage with
-//! a one-byte metadata encoding and mask-iteration scan loops; every one of
-//! those tricks is a place for a bug to hide. This model keeps one plain
-//! struct per way, written as a direct transcription of the intended
-//! semantics (the probe/insert protocol of Section 4.2.1, the stale-copy
-//! invalidation rule, and Algorithm 1's victim selection), and favors
-//! obviousness over speed everywhere. The differential driver in
+//! The optimized cache packs each set into one block of tags and state
+//! words (stamp and metadata byte in one word), keeps validity in per-set
+//! bitmasks, indexes sets by mask, and selects victims with way bitmasks;
+//! every one of those tricks is a place for a bug to hide. This model
+//! keeps one plain struct per way, written as a direct transcription of
+//! the intended semantics (the probe/insert protocol of Section 4.2.1, the
+//! stale-copy invalidation rule, and Algorithm 1's victim selection), and
+//! favors obviousness over speed everywhere. The differential driver in
 //! [`crate::diff`] replays identical traces through both and reports the
 //! first divergence.
 //!

@@ -16,8 +16,7 @@ use hh_workload::{BatchCatalog, RequestPlan, ServiceCatalog, ServiceId};
 use serde::Serialize;
 
 /// One recorded trace event: a *run* of L2-bound references sharing one
-/// allowed-way mask (the unit `SetAssocCache::access_run` replays in a
-/// single call), or a harvest-region flush.
+/// allowed-way mask, or a harvest-region flush.
 #[derive(Debug, Clone)]
 enum LabOp {
     Run { refs: Vec<BatchRef>, allowed: WayMask },
@@ -25,8 +24,8 @@ enum LabOp {
 }
 
 /// Appends one reference, extending the current run when the allowed mask
-/// is unchanged. Runs span whole invocations/harvest episodes, so batches
-/// are long and the per-reference dispatch cost of replay disappears.
+/// is unchanged. Runs span whole invocations/harvest episodes, so the mask
+/// is stored once per run rather than once per reference.
 fn push_ref(ops: &mut Vec<LabOp>, key: u64, shared: bool, allowed: WayMask) {
     // The lab replays reads only: policy quality is measured by hit rate,
     // and dirtiness does not influence any studied policy's decisions.
@@ -195,7 +194,9 @@ impl ReplacementLab {
         for op in ops {
             match op {
                 LabOp::Run { refs, allowed } => {
-                    l2.access_run(refs, *allowed);
+                    for r in refs {
+                        l2.access(r.key, r.shared, *allowed, r.write);
+                    }
                 }
                 LabOp::Flush(mask) => {
                     l2.invalidate_ways(*mask);

@@ -1,26 +1,33 @@
 //! The set-associative cache/TLB structure with way partitioning and the
 //! HardHarvest replacement algorithm (paper Sections 4.2.1–4.2.4).
 //!
-//! The storage is struct-of-arrays: tags live in one dense `Vec<u64>` so
-//! the hit-path probe scans a single cache line per set, while the
-//! valid/shared/dirty/RRPV state is packed into one metadata byte per
-//! entry and LRU stamps sit in their own array. Victim selection operates
-//! on an *effective* way mask (`allowed ∩ ways`) computed once per
-//! access, never re-filtered inside scan loops.
+//! Each set is one contiguous block of `u64` words: the set's tags, dense
+//! so the hit-path probe scans them as one slice, followed by one state
+//! word per way that packs the LRU stamp above the shared/dirty/RRPV
+//! metadata byte. An access therefore touches one region of memory rather
+//! than one per field. Validity is a per-set `u32` bitmask kept in its own
+//! dense array. Victim selection operates on an *effective* way mask
+//! (`allowed ∩ ways`) computed once per access, and every per-set filter
+//! (hit ways, empty ways, private ways, Algorithm 1's candidate window) is
+//! a `u32` way bitmask, so no scan loop re-filters way indices.
 
 use serde::{Deserialize, Serialize};
 
 use crate::{PolicyKind, WayMask};
 
-/// Packed per-entry metadata bits (see [`SetAssocCache::meta`]).
-const META_VALID: u8 = 1 << 0;
+// Per-entry metadata bits, the low byte of a way's state word. Validity
+// lives in the per-set `valid` bitmask instead.
+
 /// The page-table `Shared` bit, copied into the entry on insertion
 /// (Section 4.2.2).
-const META_SHARED: u8 = 1 << 1;
-const META_DIRTY: u8 = 1 << 2;
+const META_SHARED: u8 = 1 << 0;
+const META_DIRTY: u8 = 1 << 1;
 /// SRRIP re-reference prediction value (0 = near, 3 = distant), two bits.
-const RRPV_SHIFT: u8 = 3;
+const RRPV_SHIFT: u8 = 2;
 const RRPV_MASK: u8 = 0b11 << RRPV_SHIFT;
+/// The LRU stamp sits above the metadata byte in a way's state word. The
+/// stamp is the access clock, so 56 bits last 7·10¹⁶ accesses.
+const STAMP_SHIFT: u32 = 8;
 
 /// Hit/miss accounting for one structure.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,7 +68,8 @@ pub struct AccessOutcome {
     pub writeback: bool,
 }
 
-/// One reference of a batched [`SetAssocCache::access_run`] call.
+/// One recorded cache reference: what [`SetAssocCache::access`] takes
+/// besides the allowed-way mask.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchRef {
     /// Line/page key (already VM-namespaced).
@@ -70,17 +78,6 @@ pub struct BatchRef {
     pub shared: bool,
     /// Whether the reference dirties the line.
     pub write: bool,
-}
-
-/// Aggregate result of one [`SetAssocCache::access_run`] batch.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BatchOutcome {
-    /// References that hit.
-    pub hits: u64,
-    /// References that missed.
-    pub misses: u64,
-    /// References whose miss handling wrote back at least one dirty line.
-    pub writebacks: u64,
 }
 
 /// Externally-visible state of one way of one set, for state comparison
@@ -134,14 +131,18 @@ pub struct WayState {
 pub struct SetAssocCache {
     sets: usize,
     ways: usize,
-    /// Tags alone, `sets * ways` long, so the hit probe strides one dense
-    /// u64 array instead of 32-byte entry records.
-    tags: Vec<u64>,
-    /// One packed metadata byte per entry: bit 0 valid, bit 1 shared,
-    /// bit 2 dirty, bits 3–4 the SRRIP RRPV.
-    meta: Vec<u8>,
-    /// LRU stamps: larger = more recently used.
-    stamps: Vec<u64>,
+    /// `sets - 1` when `sets` is a power of two, so the set index is a
+    /// mask; `None` for other set counts (the LLC), which take `%`.
+    index_mask: Option<u64>,
+    /// One block of `2 * ways` words per set: the set's tags, then one
+    /// state word per way holding the LRU stamp (larger = more recently
+    /// used) above [`STAMP_SHIFT`] and the metadata byte below it. An
+    /// invalid way's tag and state are zero.
+    slots: Vec<u64>,
+    /// Per set, the bitmask of ways holding a line. Dense, so a flush
+    /// reads 4 bytes per set rather than every way's state word, and a
+    /// miss finds empty ways without a scan.
+    valid: Vec<u32>,
     policy: PolicyKind,
     /// Ways forming the harvest region (HarvestMask register).
     harvest_mask: WayMask,
@@ -165,9 +166,9 @@ impl SetAssocCache {
         SetAssocCache {
             sets,
             ways,
-            tags: vec![0; sets * ways],
-            meta: vec![0; sets * ways],
-            stamps: vec![0; sets * ways],
+            index_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
+            slots: vec![0; 2 * sets * ways],
+            valid: vec![0; sets],
             policy,
             harvest_mask,
             clock: 0,
@@ -227,18 +228,60 @@ impl SetAssocCache {
         WayMask(allowed.0 & WayMask::all(self.ways).0)
     }
 
+    /// Start of `set`'s block in `slots`.
     #[inline]
-    fn set_base(&self, key: u64) -> usize {
-        (key % self.sets as u64) as usize * self.ways
+    fn block(&self, set: usize) -> usize {
+        set * 2 * self.ways
+    }
+
+    // Accessors for way `w` of the set block at `base`.
+
+    #[inline]
+    fn meta(&self, base: usize, w: usize) -> u8 {
+        self.slots[base + self.ways + w] as u8
+    }
+
+    #[inline]
+    fn stamp(&self, base: usize, w: usize) -> u64 {
+        self.slots[base + self.ways + w] >> STAMP_SHIFT
+    }
+
+    #[inline]
+    fn set_state(&mut self, base: usize, w: usize, stamp: u64, meta: u8) {
+        self.slots[base + self.ways + w] = stamp << STAMP_SHIFT | u64::from(meta);
+    }
+
+    #[inline]
+    fn set_meta(&mut self, base: usize, w: usize, meta: u8) {
+        let state = &mut self.slots[base + self.ways + w];
+        *state = *state & !0xFF | u64::from(meta);
+    }
+
+    /// Empties way `w` of `set`.
+    #[inline]
+    fn clear(&mut self, set: usize, w: usize) {
+        let base = self.block(set);
+        self.slots[base + w] = 0;
+        self.set_state(base, w, 0, 0);
+        self.valid[set] &= !(1 << w);
+    }
+
+    /// Ways of `set` holding a valid copy of `key`. The probe scans the
+    /// set's tags as one slice.
+    #[inline]
+    fn resident_ways(&self, set: usize, key: u64) -> u32 {
+        let base = self.block(set);
+        let mut matches = 0u32;
+        for (w, &tag) in self.slots[base..base + self.ways].iter().enumerate() {
+            matches |= u32::from(tag == key) << w;
+        }
+        matches & self.valid[set]
     }
 
     /// Looks up `key` without updating any state. Returns the hit way.
     pub fn probe(&self, key: u64, allowed: WayMask) -> Option<usize> {
         let eff = self.effective(allowed);
-        let base = self.set_base(key);
-        (0..self.ways).find(|&w| {
-            self.tags[base + w] == key && self.meta[base + w] & META_VALID != 0 && eff.contains(w)
-        })
+        (WayMask(self.resident_ways(self.set_of(key), key)) & eff).iter().next()
     }
 
     /// Performs one access: `key` is the line/page address (already
@@ -253,60 +296,27 @@ impl SetAssocCache {
     /// (counted as a miss, nothing inserted or invalidated).
     pub fn access(&mut self, key: u64, shared: bool, allowed: WayMask, write: bool) -> AccessOutcome {
         let eff = self.effective(allowed);
-        self.access_at(key, shared, eff, write)
-    }
-
-    /// Drives an ordered batch of references through the cache with one
-    /// call: the effective way mask is computed once for the whole run and
-    /// the per-reference dispatch overhead disappears. Exactly equivalent
-    /// to calling [`SetAssocCache::access`] per element in order — the
-    /// address-stream synthesizer (`hh-workload`'s `PhaseStream::batch`)
-    /// produces batches in stream order precisely so replay results stay
-    /// bit-identical to the scalar path.
-    pub fn access_run(&mut self, refs: &[BatchRef], allowed: WayMask) -> BatchOutcome {
-        let eff = self.effective(allowed);
-        let mut out = BatchOutcome::default();
-        for r in refs {
-            let o = self.access_at(r.key, r.shared, eff, r.write);
-            if o.hit {
-                out.hits += 1;
-            } else {
-                out.misses += 1;
-            }
-            out.writebacks += o.writeback as u64;
-        }
-        out
-    }
-
-    /// The access core; `eff` must already be intersected with the
-    /// structure's ways.
-    #[inline]
-    fn access_at(&mut self, key: u64, shared: bool, eff: WayMask, write: bool) -> AccessOutcome {
         self.clock += 1;
         let clock = self.clock;
-        let base = self.set_base(key);
+        let set = self.set_of(key);
+        let base = self.block(set);
 
-        // Probe: scan the dense tag array; ways holding this tag outside
-        // the allowed mask are remembered as stale twins.
-        let mut stale_ways: u32 = 0;
-        for w in 0..self.ways {
-            let i = base + w;
-            if self.tags[i] == key && self.meta[i] & META_VALID != 0 {
-                if eff.contains(w) {
-                    self.stamps[i] = clock;
-                    let mut m = self.meta[i] & !RRPV_MASK;
-                    if write {
-                        m |= META_DIRTY;
-                    }
-                    self.meta[i] = m;
-                    self.stats.hits += 1;
-                    return AccessOutcome {
-                        hit: true,
-                        writeback: false,
-                    };
-                }
-                stale_ways |= 1 << w;
+        // Probe: copies of this tag outside the allowed mask are stale
+        // twins, dropped below if the access misses.
+        let resident = self.resident_ways(set, key);
+        let hit = resident & eff.0;
+        if hit != 0 {
+            let w = hit.trailing_zeros() as usize;
+            let mut m = self.meta(base, w) & !RRPV_MASK;
+            if write {
+                m |= META_DIRTY;
             }
+            self.set_state(base, w, clock, m);
+            self.stats.hits += 1;
+            return AccessOutcome {
+                hit: true,
+                writeback: false,
+            };
         }
 
         self.stats.misses += 1;
@@ -321,154 +331,154 @@ impl SetAssocCache {
         // before inserting so the set never holds duplicate tags (a dirty
         // copy is written back now rather than double-counted later).
         let mut writeback = false;
-        while stale_ways != 0 {
-            let w = stale_ways.trailing_zeros() as usize;
-            stale_ways &= stale_ways - 1;
-            let i = base + w;
-            if self.meta[i] & META_DIRTY != 0 {
+        for w in WayMask(resident).iter() {
+            if self.meta(base, w) & META_DIRTY != 0 {
                 self.stats.writebacks += 1;
                 writeback = true;
             }
-            self.tags[i] = 0;
-            self.meta[i] = 0;
-            self.stamps[i] = 0;
+            self.clear(set, w);
         }
 
-        let victim = self.choose_victim(base, eff, shared);
-        let i = base + victim;
-        if self.meta[i] & (META_VALID | META_DIRTY) == META_VALID | META_DIRTY {
+        let victim = self.choose_victim(set, eff, shared);
+        // An empty victim's state is zero, so only a valid line is dirty.
+        if self.meta(base, victim) & META_DIRTY != 0 {
             self.stats.writebacks += 1;
             writeback = true;
         }
-        self.tags[i] = key;
-        self.stamps[i] = clock;
+        self.slots[base + victim] = key;
         // SRRIP long-rereference insertion (RRPV = 2).
-        self.meta[i] = META_VALID
-            | if shared { META_SHARED } else { 0 }
+        let meta = if shared { META_SHARED } else { 0 }
             | if write { META_DIRTY } else { 0 }
             | (2 << RRPV_SHIFT);
+        self.set_state(base, victim, clock, meta);
+        self.valid[set] |= 1 << victim;
         AccessOutcome {
             hit: false,
             writeback,
         }
     }
 
-    /// Chooses the way (relative to the set) to victimize. `eff` is the
-    /// pre-intersected allowed mask, verified non-empty by the caller.
-    fn choose_victim(&mut self, base: usize, eff: WayMask, incoming_shared: bool) -> usize {
+    /// Chooses the way of `set` to victimize. `eff` is the pre-intersected
+    /// allowed mask, verified non-empty by the caller.
+    fn choose_victim(&mut self, set: usize, eff: WayMask, incoming_shared: bool) -> usize {
+        let base = self.block(set);
+        let empty = eff & WayMask(!self.valid[set]);
         match self.policy {
-            PolicyKind::Lru => self.victim_lru(base, eff),
-            PolicyKind::Rrip => self.victim_rrip(base, eff),
+            PolicyKind::Lru => empty.iter().next().unwrap_or_else(|| {
+                self.lru_of(base, eff)
+                    // hh-lint: allow(unwrap-in-hot-path): `eff` was checked
+                    // non-empty at lookup entry; an empty mask cannot reach here.
+                    .expect("allowed mask verified non-empty")
+            }),
+            PolicyKind::Rrip => match empty.iter().next() {
+                Some(w) => w,
+                None => self.victim_rrip(base, eff),
+            },
             PolicyKind::HardHarvest { candidate_frac } => {
-                self.victim_hardharvest(base, eff, incoming_shared, candidate_frac)
+                self.victim_hardharvest(base, eff, empty, incoming_shared, candidate_frac)
             }
         }
     }
 
-    fn victim_lru(&self, base: usize, eff: WayMask) -> usize {
-        if let Some(w) = self.first_empty(base, eff) {
-            return w;
-        }
-        self.lru_of(base, eff, |_| true)
-            // hh-lint: allow(unwrap-in-hot-path): `eff` was checked
-            // non-empty at lookup entry; an empty mask cannot reach here.
-            .expect("allowed mask verified non-empty")
-    }
-
+    /// SRRIP victim among the (all valid) ways of `eff`.
     fn victim_rrip(&mut self, base: usize, eff: WayMask) -> usize {
-        if let Some(w) = self.first_empty(base, eff) {
-            return w;
-        }
         // `eff` is already the effective mask, so both passes iterate it
         // directly — no per-iteration re-filtering.
         loop {
             for w in eff.iter() {
-                if self.meta[base + w] & RRPV_MASK == RRPV_MASK {
+                if self.meta(base, w) & RRPV_MASK == RRPV_MASK {
                     return w;
                 }
             }
             for w in eff.iter() {
-                let i = base + w;
-                let rrpv = (self.meta[i] & RRPV_MASK) >> RRPV_SHIFT;
-                let aged = (rrpv + 1).min(3);
-                self.meta[i] = (self.meta[i] & !RRPV_MASK) | (aged << RRPV_SHIFT);
+                let m = self.meta(base, w);
+                let aged = (((m & RRPV_MASK) >> RRPV_SHIFT) + 1).min(3);
+                self.set_meta(base, w, (m & !RRPV_MASK) | (aged << RRPV_SHIFT));
             }
         }
     }
 
     /// Algorithm 1 from the paper, including the eviction-candidate window.
+    /// `empty` holds the invalid ways of `eff`.
     fn victim_hardharvest(
         &self,
         base: usize,
         eff: WayMask,
+        empty: WayMask,
         incoming_shared: bool,
         candidate_frac: f64,
     ) -> usize {
         let harv = self.harvest_mask & eff;
         let non_harv = self.harvest_mask.complement(self.ways) & eff;
+        // Shared lines prefer the Non-Harv region, private lines Harv.
+        let (preferred, other) = if incoming_shared {
+            (non_harv, harv)
+        } else {
+            (harv, non_harv)
+        };
 
         // Empty-slot cases (Algorithm 1, first branch). Empty slots are not
         // subject to the candidate window.
-        let empty_h = self.first_empty(base, harv);
-        let empty_nh = self.first_empty(base, non_harv);
-        match (empty_nh, empty_h) {
-            (Some(nh), Some(h)) => {
-                return if incoming_shared { nh } else { h };
+        for region in [preferred, other] {
+            if let Some(w) = (region & empty).iter().next() {
+                return w;
             }
-            (Some(nh), None) => return nh,
-            (None, Some(h)) => return h,
-            (None, None) => {}
         }
 
         // No empty slot: restrict to the M least-recently-used entries.
-        // At most 32 ways, so the age sort runs on a stack buffer.
         let allowed_count = eff.count();
         let m = ((allowed_count as f64 * candidate_frac).round() as usize).clamp(1, allowed_count);
-        let mut by_age = [0usize; 32];
-        let mut n = 0;
-        for w in eff.iter() {
-            by_age[n] = w;
-            n += 1;
+        // Each access stamps at most one way with a fresh clock value, so
+        // valid stamps never tie and the window's rank order is the stamp
+        // order alone.
+        debug_assert!(
+            eff.iter().all(|a| eff
+                .iter()
+                .all(|b| a == b || self.stamp(base, a) != self.stamp(base, b))),
+            "valid ways carry distinct LRU stamps"
+        );
+        let window = self.candidate_window(base, eff, m);
+        let mut private = 0u32;
+        for w in window.iter() {
+            private |= u32::from(self.meta(base, w) & META_SHARED == 0) << w;
         }
-        by_age[..n].sort_by_key(|&w| self.stamps[base + w]);
-        let window = &by_age[..m];
-        let candidate = |w: usize| window.contains(&w);
+        let private = WayMask(private);
 
-        let pick_lru = |region: WayMask, private_only: bool| -> Option<usize> {
-            self.lru_of(base, region, |w| {
-                candidate(w) && (!private_only || self.meta[base + w] & META_SHARED == 0)
-            })
-        };
-
-        if incoming_shared {
-            // Private victim in Non-Harv, then private in Harv, then any.
-            pick_lru(non_harv, true)
-                .or_else(|| pick_lru(harv, true))
-                .or_else(|| pick_lru(eff, false))
-                // hh-lint: allow(unwrap-in-hot-path): the final fallback
-                // scanned the full effective mask, which is non-empty here.
-                .expect("candidate window is non-empty")
-        } else {
-            // Private victim in Harv, then private in Non-Harv, then any.
-            pick_lru(harv, true)
-                .or_else(|| pick_lru(non_harv, true))
-                .or_else(|| pick_lru(eff, false))
-                // hh-lint: allow(unwrap-in-hot-path): the final fallback
-                // scanned the full effective mask, which is non-empty here.
-                .expect("candidate window is non-empty")
-        }
+        // A private victim in the preferred region, then a private one in
+        // the other region, then the LRU candidate.
+        self.lru_of(base, preferred & private)
+            .or_else(|| self.lru_of(base, other & private))
+            .or_else(|| self.lru_of(base, window))
+            // hh-lint: allow(unwrap-in-hot-path): the final fallback scans
+            // the whole window, which holds at least one way.
+            .expect("candidate window is non-empty")
     }
 
-    /// First invalid way in `mask` (pre-intersected with the structure).
-    fn first_empty(&self, base: usize, mask: WayMask) -> Option<usize> {
-        mask.iter().find(|&w| self.meta[base + w] & META_VALID == 0)
+    /// Algorithm 1's eviction-candidate window: the `m` ways of `eff` that
+    /// rank lowest by `(stamp, way)` — exactly the first `m` ways of `eff`
+    /// stably sorted by LRU stamp. Built by dropping the `eff.count() - m`
+    /// highest-ranked ways one pass at a time, so the default M = 75 %
+    /// window costs a quarter of the set's ways in passes and no sort.
+    fn candidate_window(&self, base: usize, eff: WayMask, m: usize) -> WayMask {
+        let mut window = eff.0;
+        for _ in m..eff.count() {
+            let (mut newest_stamp, mut newest_way) = (0u64, 0usize);
+            for w in WayMask(window).iter() {
+                // `>=`: ascending ways, so an equal stamp at a higher way
+                // ranks higher, as it would after a stable sort.
+                let stamp = self.stamp(base, w);
+                if stamp >= newest_stamp {
+                    (newest_stamp, newest_way) = (stamp, w);
+                }
+            }
+            window &= !(1 << newest_way);
+        }
+        WayMask(window)
     }
 
-    /// Least-recently-used way in `mask` satisfying `pred`.
-    fn lru_of(&self, base: usize, mask: WayMask, pred: impl Fn(usize) -> bool) -> Option<usize> {
-        mask.iter()
-            .filter(|&w| pred(w))
-            .min_by_key(|&w| self.stamps[base + w])
+    /// Least-recently-used way in `mask`; the lowest way on a stamp tie.
+    fn lru_of(&self, base: usize, mask: WayMask) -> Option<usize> {
+        mask.iter().min_by_key(|&w| self.stamp(base, w))
     }
 
     /// Invalidates every entry in the given ways across all sets (the
@@ -477,18 +487,17 @@ impl SetAssocCache {
         let eff = self.effective(mask);
         let mut dropped = 0;
         for set in 0..self.sets {
-            let base = set * self.ways;
-            for w in eff.iter() {
-                let i = base + w;
-                if self.meta[i] & META_VALID != 0 {
-                    dropped += 1;
-                    if self.meta[i] & META_DIRTY != 0 {
-                        self.stats.writebacks += 1;
-                    }
-                    self.tags[i] = 0;
-                    self.meta[i] = 0;
-                    self.stamps[i] = 0;
+            let doomed = WayMask(self.valid[set]) & eff;
+            if doomed.is_empty() {
+                continue;
+            }
+            let base = self.block(set);
+            for w in doomed.iter() {
+                dropped += 1;
+                if self.meta(base, w) & META_DIRTY != 0 {
+                    self.stats.writebacks += 1;
                 }
+                self.clear(set, w);
             }
         }
         self.stats.flushed += dropped;
@@ -509,59 +518,54 @@ impl SetAssocCache {
     /// Panics if `set` is out of range.
     pub fn way_states(&self, set: usize) -> Vec<WayState> {
         assert!(set < self.sets, "set {set} out of range");
-        let base = set * self.ways;
+        let base = self.block(set);
         (0..self.ways)
             .map(|w| {
-                let m = self.meta[base + w];
+                let m = self.meta(base, w);
                 WayState {
                     way: w,
-                    tag: self.tags[base + w],
-                    valid: m & META_VALID != 0,
+                    tag: self.slots[base + w],
+                    valid: self.valid[set] & (1 << w) != 0,
                     shared: m & META_SHARED != 0,
                     dirty: m & META_DIRTY != 0,
                     rrpv: (m & RRPV_MASK) >> RRPV_SHIFT,
-                    stamp: self.stamps[base + w],
+                    stamp: self.stamp(base, w),
                 }
             })
             .collect()
     }
 
-    /// The set index a key maps to (for divergence reports).
+    /// The set index a key maps to: a mask when the set count is a power
+    /// of two (every Table 1 private cache and TLB), `%` otherwise.
+    #[inline]
     pub fn set_of(&self, key: u64) -> usize {
-        (key % self.sets as u64) as usize
+        match self.index_mask {
+            Some(mask) => (key & mask) as usize,
+            None => (key % self.sets as u64) as usize,
+        }
     }
 
     /// Number of currently valid entries.
     pub fn occupancy(&self) -> usize {
-        self.meta.iter().filter(|&&m| m & META_VALID != 0).count()
+        self.occupancy_in(WayMask::all(self.ways))
     }
 
     /// Number of valid entries resident in the given ways.
     pub fn occupancy_in(&self, mask: WayMask) -> usize {
         let eff = self.effective(mask);
-        let mut n = 0;
-        for set in 0..self.sets {
-            let base = set * self.ways;
-            for w in eff.iter() {
-                if self.meta[base + w] & META_VALID != 0 {
-                    n += 1;
-                }
-            }
-        }
-        n
+        self.valid.iter().map(|&v| (WayMask(v) & eff).count()).sum()
     }
 
     /// Number of valid *shared* entries resident in the given ways.
     pub fn shared_occupancy_in(&self, mask: WayMask) -> usize {
         let eff = self.effective(mask);
         let mut n = 0;
-        for set in 0..self.sets {
-            let base = set * self.ways;
-            for w in eff.iter() {
-                if self.meta[base + w] & (META_VALID | META_SHARED) == META_VALID | META_SHARED {
-                    n += 1;
-                }
-            }
+        for (set, &v) in self.valid.iter().enumerate() {
+            let base = self.block(set);
+            n += (WayMask(v) & eff)
+                .iter()
+                .filter(|&w| self.meta(base, w) & META_SHARED != 0)
+                .count();
         }
         n
     }
@@ -679,40 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn access_run_matches_scalar_loop() {
-        let refs: Vec<BatchRef> = (0..600u64)
-            .map(|i| BatchRef {
-                key: (i * 29) % 97,
-                shared: i % 3 == 0,
-                write: i % 7 == 0,
-            })
-            .collect();
-        for policy in [
-            PolicyKind::Lru,
-            PolicyKind::Rrip,
-            PolicyKind::hardharvest_default(),
-        ] {
-            let mask = WayMask::lower(3);
-            let mut scalar = SetAssocCache::new(8, 4, policy, WayMask::lower(2));
-            let mut batched = scalar.clone();
-            let mut hits = 0;
-            for r in &refs {
-                if scalar.access(r.key, r.shared, mask, r.write).hit {
-                    hits += 1;
-                }
-            }
-            let out = batched.access_run(&refs, mask);
-            assert_eq!(scalar.stats(), batched.stats(), "{policy:?}");
-            assert_eq!(out.hits, hits, "{policy:?}");
-            assert_eq!(out.hits + out.misses, refs.len() as u64);
-            assert_eq!(scalar.occupancy(), batched.occupancy());
-            for k in 0..97 {
-                assert_eq!(scalar.probe(k, mask), batched.probe(k, mask), "{policy:?} key {k}");
-            }
-        }
-    }
-
-    #[test]
     fn writeback_on_dirty_eviction() {
         let mut c = SetAssocCache::new(1, 1, PolicyKind::Lru, WayMask::EMPTY);
         let one = WayMask::lower(1);
@@ -809,6 +779,41 @@ mod tests {
             c.probe(4, ALL4).is_some(),
             "MRU private line must be outside the candidate window"
         );
+    }
+
+    #[test]
+    fn candidate_window_is_prefix_of_stable_stamp_sort() {
+        let mut rng = hh_sim::Rng64::new(0x57A3);
+        for ways in [2usize, 4, 8, 12, 16, 32] {
+            let mut c = SetAssocCache::new(1, ways, PolicyKind::Lru, WayMask::EMPTY);
+            for round in 0..200 {
+                // Distinct stamps (a shuffled order, what the cache itself
+                // produces) in even rounds, colliding ones in odd rounds to
+                // pin the stable-sort tie order too.
+                let mut order: Vec<u64> = (1..=ways as u64).collect();
+                rng.shuffle(&mut order);
+                for (w, &stamp) in order.iter().enumerate() {
+                    let stamp = if round % 2 == 0 { stamp } else { 1 + stamp % 3 };
+                    c.set_state(0, w, stamp, 0);
+                }
+                let eff = WayMask(rng.next_u64() as u32) & WayMask::all(ways);
+                if eff.is_empty() {
+                    continue;
+                }
+                let m = 1 + rng.below(eff.count() as u64) as usize;
+                let mut sorted: Vec<usize> = eff.iter().collect();
+                sorted.sort_by_key(|&w| c.stamp(0, w));
+                let expected = sorted[..m]
+                    .iter()
+                    .fold(WayMask::EMPTY, |acc, &w| acc | WayMask(1 << w));
+                assert_eq!(
+                    c.candidate_window(0, eff, m),
+                    expected,
+                    "{ways} ways, eff {eff}, m {m}, states {:?}",
+                    &c.slots[ways..]
+                );
+            }
+        }
     }
 
     #[test]

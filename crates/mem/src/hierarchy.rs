@@ -8,6 +8,8 @@ use crate::{
 };
 
 /// What the executing context is allowed to see in the private structures.
+///
+/// The discriminant indexes [`CoreMem`]'s per-structure mask table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Visibility {
     /// A Primary VM with full visibility of every way.
@@ -128,6 +130,17 @@ impl Llc {
     }
 }
 
+/// A private structure of [`CoreMem`]; the discriminant indexes its
+/// allowed-mask table.
+#[derive(Debug, Clone, Copy)]
+enum Structure {
+    L1i,
+    L1d,
+    L2,
+    L1Tlb,
+    L2Tlb,
+}
+
 /// One core's private caches and TLBs.
 ///
 /// # Example
@@ -153,9 +166,12 @@ pub struct CoreMem {
     l2: SetAssocCache,
     l1_tlb: SetAssocCache,
     l2_tlb: SetAssocCache,
-    /// Global way-enable fraction for the Figure 7 capacity study
-    /// (1.0 = full structures).
-    capacity_frac: f64,
+    /// Allowed-way masks per structure (indexed like [`Structure`]) and
+    /// per [`Visibility`]: the ways enabled by the Figure 7 capacity
+    /// fraction intersected with the region the context may see. Filled at
+    /// construction and on every capacity change, so the access path only
+    /// indexes it.
+    allowed: [[WayMask; 3]; 5],
     /// Figure 7's "Inf" configuration: every reference hits at L1 cost.
     infinite: bool,
     /// Each DRAM access from this core stands in for this many real
@@ -181,20 +197,22 @@ impl CoreMem {
         let mk = |sets: usize, ways: usize| {
             SetAssocCache::new(sets, ways, policy, WayMask::fraction(ways, harvest_frac))
         };
-        CoreMem {
+        let mut core = CoreMem {
             config: *config,
             l1i: mk(config.l1i.sets(), config.l1i.ways),
             l1d: mk(config.l1d.sets(), config.l1d.ways),
             l2: mk(config.l2.sets(), config.l2.ways),
             l1_tlb: mk(config.l1_tlb.sets(), config.l1_tlb.ways),
             l2_tlb: mk(config.l2_tlb.sets(), config.l2_tlb.ways),
-            capacity_frac: 1.0,
+            allowed: [[WayMask::EMPTY; 3]; 5],
             infinite: false,
             dram_weight: 1.0,
             mshr_busy: config.mshrs.map(|n| vec![Cycles::ZERO; n.max(1)]),
             l2_split: VisSplit::default(),
             flushes: FlushStats::default(),
-        }
+        };
+        core.fill_allowed(1.0);
+        core
     }
 
     /// Restricts every structure to a fraction of its ways (Figure 7).
@@ -203,7 +221,21 @@ impl CoreMem {
     /// Panics if `frac` is outside `(0, 1]`.
     pub fn set_capacity_fraction(&mut self, frac: f64) {
         assert!(frac > 0.0 && frac <= 1.0, "fraction out of range");
-        self.capacity_frac = frac;
+        self.fill_allowed(frac);
+    }
+
+    /// Recomputes the allowed-mask table from the fraction of ways enabled
+    /// (1.0 = full structures) and each structure's harvest mask.
+    fn fill_allowed(&mut self, capacity_frac: f64) {
+        let structures = [&self.l1i, &self.l1d, &self.l2, &self.l1_tlb, &self.l2_tlb];
+        for (masks, cache) in self.allowed.iter_mut().zip(structures) {
+            let ways = cache.ways();
+            let enabled = WayMask::fraction(ways, capacity_frac);
+            let harvest = cache.harvest_mask();
+            masks[Visibility::Primary as usize] = enabled;
+            masks[Visibility::PrimaryFlushPending as usize] = enabled & harvest.complement(ways);
+            masks[Visibility::Harvest as usize] = enabled & harvest;
+        }
     }
 
     /// Switches the hierarchy into the idealized infinite configuration
@@ -235,17 +267,6 @@ impl CoreMem {
         }
     }
 
-    fn allowed(&self, cache: &SetAssocCache, vis: Visibility) -> WayMask {
-        let ways = cache.ways();
-        let enabled = WayMask::fraction(ways, self.capacity_frac);
-        let region = match vis {
-            Visibility::Primary => WayMask::all(ways),
-            Visibility::PrimaryFlushPending => cache.harvest_mask().complement(ways),
-            Visibility::Harvest => cache.harvest_mask(),
-        };
-        enabled & region
-    }
-
     /// Runs one reference through TLBs and caches; returns its stall cost.
     pub fn access(
         &mut self,
@@ -272,10 +293,11 @@ impl CoreMem {
 
         // Address translation. An L1-TLB hit is overlapped with the cache
         // access and costs nothing extra.
+        let allowed = |s: Structure| self.allowed[s as usize][vis as usize];
         let page = acc.page();
-        let l1_tlb_allowed = self.allowed(&self.l1_tlb, vis);
+        let l1_tlb_allowed = allowed(Structure::L1Tlb);
         if !self.l1_tlb.access(page, shared, l1_tlb_allowed, false).hit {
-            let l2_tlb_allowed = self.allowed(&self.l2_tlb, vis);
+            let l2_tlb_allowed = allowed(Structure::L2Tlb);
             if self.l2_tlb.access(page, shared, l2_tlb_allowed, false).hit {
                 latency += self.config.l2_tlb.hit_cycles;
             } else {
@@ -286,26 +308,16 @@ impl CoreMem {
         // Cache lookup.
         let line = acc.line();
         let mut dram_hit = false;
-        let (l1, l1_cfg) = if acc.kind.is_ifetch() {
-            (&mut self.l1i, &self.config.l1i)
+        let (l1, l1_cfg, l1_allowed) = if acc.kind.is_ifetch() {
+            (&mut self.l1i, &self.config.l1i, allowed(Structure::L1i))
         } else {
-            (&mut self.l1d, &self.config.l1d)
-        };
-        let l1_allowed = {
-            let ways = l1.ways();
-            let enabled = WayMask::fraction(ways, self.capacity_frac);
-            let region = match vis {
-                Visibility::Primary => WayMask::all(ways),
-                Visibility::PrimaryFlushPending => l1.harvest_mask().complement(ways),
-                Visibility::Harvest => l1.harvest_mask(),
-            };
-            enabled & region
+            (&mut self.l1d, &self.config.l1d, allowed(Structure::L1d))
         };
         let write = acc.kind.is_write();
         if l1.access(line, shared, l1_allowed, write).hit {
             latency += l1_cfg.hit_cycles;
         } else {
-            let l2_allowed = self.allowed(&self.l2, vis);
+            let l2_allowed = allowed(Structure::L2);
             let l2_hit = self.l2.access(line, shared, l2_allowed, write).hit;
             let harvest = vis == Visibility::Harvest;
             match (harvest, l2_hit) {
@@ -552,7 +564,7 @@ mod tests {
 
     #[test]
     fn llc_partitions_isolate_vms() {
-        let mut llc = Llc::new(64, 16, &[4, 4]);
+        let llc = Llc::new(64, 16, &[4, 4]);
         let m0 = llc.vm_mask(VmId(0));
         let m1 = llc.vm_mask(VmId(1));
         assert!(!m0.is_empty() && !m1.is_empty());

@@ -33,7 +33,7 @@ mod waymask;
 
 pub use access::{Access, AccessKind, PageClass};
 pub use belady::{BeladyCache, TraceOp};
-pub use cache::{AccessOutcome, BatchOutcome, BatchRef, CacheStats, SetAssocCache, WayState};
+pub use cache::{AccessOutcome, BatchRef, CacheStats, SetAssocCache, WayState};
 pub use config::{CacheConfig, HierarchyConfig, LlcConfig, TlbConfig};
 pub use dram::{Dram, DramConfig};
 pub use flush::FlushModel;

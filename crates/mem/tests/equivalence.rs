@@ -1,4 +1,4 @@
-//! Differential equivalence: the optimized struct-of-arrays
+//! Differential equivalence: the optimized set-block
 //! [`hh_mem::SetAssocCache`] against hh-check's array-of-structs
 //! [`hh_check::RefCache`] on property-generated traces.
 //!
@@ -88,6 +88,23 @@ proptest! {
         let (sets, ways) = (2, 2);
         let trace = build_trace(&ops, ways);
         if let Err(d) = diff_cache(sets, ways, policy, WayMask::lower(1), &trace) {
+            prop_assert!(false, "{}", d);
+        }
+    }
+
+    /// Non-power-of-two set counts: the optimized cache masks the set
+    /// index when the count is a power of two and takes `%` otherwise, so
+    /// these geometries pin the `%` path — 12 = 3·2² sets, and 9 sets of
+    /// 16 ways mirroring the LLC's 73,728 = 9·2¹³.
+    #[test]
+    fn optimized_cache_matches_reference_non_pow2_sets(
+        policy in policies(),
+        geometry in prop_oneof![Just((12usize, 8usize)), Just((9, 16))],
+        ops in raw_ops(300),
+    ) {
+        let (sets, ways) = geometry;
+        let trace = build_trace(&ops, ways);
+        if let Err(d) = diff_cache(sets, ways, policy, WayMask::lower(ways / 2), &trace) {
             prop_assert!(false, "{}", d);
         }
     }

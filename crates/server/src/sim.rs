@@ -777,7 +777,6 @@ impl ServerSim {
         let c = &mut self.cores[core];
         c.run = Run::Req { token };
         c.resident = Some(vm);
-        c.temp_for = c.temp_for.filter(|_| true); // unchanged
         c.gen += 1;
         let gen = c.gen;
         self.busy_add(1.0);
@@ -1536,10 +1535,6 @@ impl ServerSim {
     /// callable from tests and the `hh-check` harness at any point.
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
         Self::invariant_set().check_all(self)
-    }
-
-    fn find_stealable_core(&self) -> Option<usize> {
-        (0..self.cores.len()).find(|&i| self.core_is_stealable_idx(i))
     }
 
     fn find_stealable_core_of(&self, vm: usize) -> Option<usize> {

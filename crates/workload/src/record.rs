@@ -9,7 +9,7 @@
 //! produces — skewed shared/private references, harvest-restricted masks,
 //! region flushes and HarvestMask reloads.
 
-use hh_mem::{BatchRef, WayMask};
+use hh_mem::WayMask;
 use serde::{Deserialize, Serialize};
 
 use crate::StreamSpec;
@@ -79,13 +79,16 @@ impl OpTrace {
 
     /// Records every reference of a phase stream under `allowed`, in
     /// stream order — the trace replays bit-identically to what
-    /// `SetAssocCache::access_run` would see from the same spec.
+    /// `SetAssocCache::access` sees when the stream is walked directly.
     pub fn record_phase(&mut self, spec: &StreamSpec, allowed: WayMask) {
         self.ops.reserve(spec.accesses as usize);
-        let mut buf: Vec<BatchRef> = Vec::new();
-        spec.iter().batch_into(&mut buf);
-        for r in &buf {
-            self.access(r.key, r.shared, r.write, allowed);
+        for acc in spec.iter() {
+            self.access(
+                acc.line(),
+                acc.class.is_shared(),
+                acc.kind.is_write(),
+                allowed,
+            );
         }
     }
 

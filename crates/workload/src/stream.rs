@@ -8,7 +8,7 @@
 //! most references — matching the small effective working sets measured in
 //! Section 3.
 
-use hh_mem::{Access, AccessKind, BatchRef, PageClass};
+use hh_mem::{Access, AccessKind, PageClass};
 use hh_sim::{Rng64, VmId};
 use serde::{Deserialize, Serialize};
 
@@ -142,25 +142,6 @@ impl Iterator for PhaseStream {
 
 impl ExactSizeIterator for PhaseStream {}
 
-impl PhaseStream {
-    /// Drains the remaining accesses into [`BatchRef`]s, in stream order,
-    /// appending to `buf` (cleared first). The batch feeds
-    /// `SetAssocCache::access_run`, replacing per-reference call dispatch
-    /// with one loop; because order is preserved, replaying the batch is
-    /// bit-identical to iterating the stream access by access.
-    pub fn batch_into(self, buf: &mut Vec<BatchRef>) {
-        buf.clear();
-        buf.reserve(self.len());
-        for acc in self {
-            buf.push(BatchRef {
-                key: acc.line(),
-                shared: acc.class.is_shared(),
-                write: acc.kind.is_write(),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,23 +225,6 @@ mod tests {
             .count() as f64;
         let frac = hot / ifetches.len() as f64;
         assert!(frac > 0.7, "hot fraction {frac}");
-    }
-
-    #[test]
-    fn batch_into_preserves_stream_order() {
-        let s = spec();
-        let mut buf = vec![BatchRef { key: 9, shared: false, write: false }];
-        s.iter().batch_into(&mut buf);
-        let scalar: Vec<BatchRef> = s
-            .iter()
-            .map(|a| BatchRef {
-                key: a.line(),
-                shared: a.class.is_shared(),
-                write: a.kind.is_write(),
-            })
-            .collect();
-        assert_eq!(buf, scalar);
-        assert_eq!(buf.len(), 4000);
     }
 
     #[test]

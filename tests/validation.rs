@@ -23,7 +23,7 @@ fn light_load_latency_matches_analytic_floor() {
             continue;
         }
         let mean_ms = {
-            let mut lat = sm.latency_ms.clone();
+            let lat = sm.latency_ms.clone();
             // mean over samples
             let n = lat.len() as f64;
             lat.values().iter().sum::<f64>() / n
