@@ -278,6 +278,27 @@ impl SetAssocCache {
         matches & self.valid[set]
     }
 
+    /// Hints the host to pull `key`'s set into its caches: every 64-byte
+    /// line of the set's block in `slots`, and the set's `valid` word.
+    /// Changes no state, so a later [`SetAssocCache::access`] to the same
+    /// key behaves exactly as without the hint, only with fewer host
+    /// cache misses.
+    #[inline]
+    pub(crate) fn prefetch(&self, key: u64) {
+        let set = self.set_of(key);
+        let base = self.block(set);
+        let block = self.slots[base..base + 2 * self.ways].as_ptr_range();
+        let start = block.start.cast::<u8>();
+        let end = block.end.cast::<u8>();
+        // From the start of the line holding the block's first byte.
+        let mut line = start.wrapping_sub(start as usize % 64);
+        while line < end {
+            prefetch_line(line);
+            line = line.wrapping_add(64);
+        }
+        prefetch_line((&self.valid[set] as *const u32).cast());
+    }
+
     /// Looks up `key` without updating any state. Returns the hit way.
     pub fn probe(&self, key: u64, allowed: WayMask) -> Option<usize> {
         let eff = self.effective(allowed);
@@ -569,6 +590,22 @@ impl SetAssocCache {
         }
         n
     }
+}
+
+/// Asks the host to bring the 64-byte line holding `p` into its caches.
+/// A hint only: it never faults and changes no program-visible state.
+#[inline(always)]
+fn prefetch_line(p: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `prefetcht0` reads no memory architecturally and cannot
+    // fault on any address, so every pointer value is valid input; SSE,
+    // which the intrinsic requires, is part of the x86-64 baseline.
+    unsafe {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
 }
 
 #[cfg(test)]

@@ -177,7 +177,7 @@ pub struct HierarchyConfig {
     /// When set, misses past the L2 contend for this many outstanding-miss
     /// slots and the reference stream advances a per-phase time cursor.
     /// `None` (default) keeps the simpler flat-latency model the
-    /// calibration in DESIGN.md §8 is anchored to.
+    /// calibration in DESIGN.md §8 is anchored to. `Some(0)` is invalid.
     pub mshrs: Option<usize>,
 }
 

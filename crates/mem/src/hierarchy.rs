@@ -119,6 +119,13 @@ impl Llc {
         self.cache.access(key, false, mask, true);
     }
 
+    /// Hints the host to cache the LLC set `key` maps to; see
+    /// [`SetAssocCache::prefetch`].
+    #[inline]
+    pub(crate) fn prefetch(&self, key: u64) {
+        self.cache.prefetch(key);
+    }
+
     /// Accumulated statistics.
     pub fn stats(&self) -> CacheStats {
         self.cache.stats()
@@ -187,12 +194,20 @@ pub struct CoreMem {
 }
 
 impl CoreMem {
+    /// How many references [`CoreMem::walk`] generates ahead of the one it
+    /// runs. Picked by a sweep over 4, 8 and 16 on quick-scale servers (see
+    /// EXPERIMENTS.md).
+    pub const LOOKAHEAD: usize = 8;
+
     /// Creates a cold hierarchy.
     ///
     /// `harvest_frac` is the fraction of each structure's ways forming the
     /// harvest region (Table 1 default: 50 %); `policy` applies to the L1D,
     /// L2 and TLBs (the L1I is always effectively LRU because instruction
     /// pages are all shared, Section 4.2.3).
+    ///
+    /// # Panics
+    /// Panics if `config.mshrs` is `Some(0)`.
     pub fn new(config: &HierarchyConfig, harvest_frac: f64, policy: PolicyKind) -> Self {
         let mk = |sets: usize, ways: usize| {
             SetAssocCache::new(sets, ways, policy, WayMask::fraction(ways, harvest_frac))
@@ -207,7 +222,10 @@ impl CoreMem {
             allowed: [[WayMask::EMPTY; 3]; 5],
             infinite: false,
             dram_weight: 1.0,
-            mshr_busy: config.mshrs.map(|n| vec![Cycles::ZERO; n.max(1)]),
+            mshr_busy: config.mshrs.map(|n| {
+                assert!(n > 0, "MSHR modeling needs at least one MSHR");
+                vec![Cycles::ZERO; n]
+            }),
             l2_split: VisSplit::default(),
             flushes: FlushStats::default(),
         };
@@ -265,6 +283,81 @@ impl CoreMem {
         ] {
             c.set_policy(policy);
         }
+    }
+
+    /// Runs a stream of references through the hierarchy in order, as
+    /// from `start`, and returns their summed stall.
+    ///
+    /// With MSHR modeling each reference issues when the previous ones'
+    /// stalls have elapsed, so outstanding-miss and DRAM-bank occupancy
+    /// follow the stream's real pacing; otherwise every reference issues
+    /// at `start`.
+    ///
+    /// The walk keeps the next [`CoreMem::LOOKAHEAD`] references in a ring
+    /// and prefetches every set block a reference can touch as it enters,
+    /// so the host-memory misses of upcoming references overlap the
+    /// current one. Prefetches change no state: the result, every
+    /// statistic and every replacement decision equal those of calling
+    /// [`CoreMem::access`] on each reference in turn.
+    pub fn walk(
+        &mut self,
+        start: Cycles,
+        refs: impl IntoIterator<Item = Access>,
+        vis: Visibility,
+        llc: &mut Llc,
+        dram: &mut Dram,
+    ) -> Cycles {
+        let paced = self.mshr_busy.is_some();
+        let mut refs = refs.into_iter();
+        let Some(first) = refs.next() else {
+            return Cycles::ZERO;
+        };
+        // Fill the ring with up to `LOOKAHEAD` references, oldest at `head`.
+        let mut ring = [first; Self::LOOKAHEAD];
+        let mut len = 0;
+        for acc in std::iter::once(first).chain(refs.by_ref().take(Self::LOOKAHEAD - 1)) {
+            self.prefetch(acc, llc);
+            ring[len] = acc;
+            len += 1;
+        }
+        let mut total = Cycles::ZERO;
+        let mut head = 0;
+        // While the stream lasts, each new reference takes the slot of the
+        // oldest, which then runs. A short stream never fills the ring, and
+        // `refs` is not read past its end.
+        if len == Self::LOOKAHEAD {
+            for next in refs {
+                self.prefetch(next, llc);
+                let acc = std::mem::replace(&mut ring[head], next);
+                head = (head + 1) % Self::LOOKAHEAD;
+                let now = if paced { start + total } else { start };
+                total += self.access(now, acc, vis, llc, dram).stall;
+            }
+        }
+        // Drain the last `len` references, oldest first.
+        for i in 0..len {
+            let acc = ring[(head + i) % Self::LOOKAHEAD];
+            let now = if paced { start + total } else { start };
+            total += self.access(now, acc, vis, llc, dram).stall;
+        }
+        total
+    }
+
+    /// Prefetches every set block `acc` can touch (see [`CoreMem::walk`]).
+    fn prefetch(&self, acc: Access, llc: &Llc) {
+        if self.infinite {
+            return;
+        }
+        let (page, line) = (acc.page(), acc.line());
+        self.l1_tlb.prefetch(page);
+        self.l2_tlb.prefetch(page);
+        if acc.kind.is_ifetch() {
+            self.l1i.prefetch(line);
+        } else {
+            self.l1d.prefetch(line);
+        }
+        self.l2.prefetch(line);
+        llc.prefetch(line);
     }
 
     /// Runs one reference through TLBs and caches; returns its stall cost.
@@ -404,6 +497,12 @@ impl CoreMem {
     /// Flush activity since construction (or the last stats reset).
     pub fn flush_stats(&self) -> FlushStats {
         self.flushes
+    }
+
+    /// Statistics of every private structure, in the order L1I, L1D, L2,
+    /// L1 TLB, L2 TLB.
+    pub fn structure_stats(&self) -> [CacheStats; 5] {
+        [&self.l1i, &self.l1d, &self.l2, &self.l1_tlb, &self.l2_tlb].map(SetAssocCache::stats)
     }
 
     /// Statistics of the unified L2 (the structure Figure 14 reports).

@@ -10,9 +10,17 @@
 //! across all four replacement policies and several harvest-mask shapes.
 //! A divergence fails with hh-check's pinpointed report (operation index,
 //! set, both models' way states) rather than a bare assert.
+//!
+//! The last property checks the stream entry point: [`hh_mem::CoreMem::walk`],
+//! with its prefetching lookahead ring, against a plain loop of
+//! [`hh_mem::CoreMem::access`] calls on an identical hierarchy.
 
 use hh_check::diff_cache;
-use hh_mem::{PolicyKind, WayMask};
+use hh_mem::{
+    Access, AccessKind, CacheConfig, CoreMem, Dram, HierarchyConfig, Llc, PageClass, PolicyKind,
+    TlbConfig, Visibility, WayMask,
+};
+use hh_sim::{Cycles, VmId};
 use hh_workload::OpTrace;
 use proptest::prelude::*;
 
@@ -59,6 +67,67 @@ fn build_trace(ops: &[RawOp], ways: usize) -> OpTrace {
         }
     }
     t
+}
+
+/// A hierarchy small enough that short streams evict at every level: 4-set
+/// L1s, a 16-set L2 and 8- and 16-entry TLBs.
+fn tiny_hierarchy(mshrs: Option<usize>) -> HierarchyConfig {
+    let cache = |ways: usize, sets: usize, hit_cycles: u64| CacheConfig {
+        size_bytes: 64 * ways * sets,
+        ways,
+        line_bytes: 64,
+        hit_cycles,
+    };
+    HierarchyConfig {
+        l1i: cache(8, 4, 5),
+        l1d: cache(12, 4, 5),
+        l2: cache(8, 16, 13),
+        l1_tlb: TlbConfig {
+            entries: 8,
+            ways: 4,
+            hit_cycles: 2,
+        },
+        l2_tlb: TlbConfig {
+            entries: 16,
+            ways: 8,
+            hit_cycles: 12,
+        },
+        mshrs,
+        ..HierarchyConfig::table1()
+    }
+}
+
+/// One raw generated reference: `(vm, byte address, kind, shared)`. The
+/// 128 KiB address range spans 2048 lines and 32 pages, far beyond the
+/// tiny hierarchy and the 288-line test LLC.
+type RawRef = (u16, u64, u8, bool);
+
+fn raw_refs() -> impl Strategy<Value = Vec<RawRef>> {
+    prop::collection::vec((0u16..2, 0u64..1 << 17, 0u8..3, any::<bool>()), 1..300)
+}
+
+fn to_access(&(vm, addr, kind, shared): &RawRef) -> Access {
+    let kind = [
+        AccessKind::InstrFetch,
+        AccessKind::DataRead,
+        AccessKind::DataWrite,
+    ][kind as usize];
+    let class = if shared {
+        PageClass::Shared
+    } else {
+        PageClass::Private
+    };
+    Access::new(VmId(vm), addr, kind, class)
+}
+
+/// One generated phase: `(length choice, random length, visibility,
+/// flush before it, start cycle)`. Length choices 0–4 pick the ring's
+/// edge cases 0, 1, `LOOKAHEAD − 1`, `LOOKAHEAD`, `LOOKAHEAD + 1`; 5 picks
+/// the random length.
+type RawPhase = (u8, usize, u8, u8, u64);
+
+fn raw_phases() -> impl Strategy<Value = Vec<RawPhase>> {
+    prop::collection::vec((0u8..6, 0usize..300, 0u8..3, 0u8..3, 0u64..5000), 1..6)
 }
 
 proptest! {
@@ -123,5 +192,63 @@ proptest! {
         if let Err(d) = diff_cache(sets, ways, policy, WayMask::lower(harvest_ways), &trace) {
             prop_assert!(false, "{}", d);
         }
+    }
+}
+
+proptest! {
+    // Each case is cheap; more of them cover the policy × MSHR × infinite
+    // × visibility × ring-edge-length combinations.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `CoreMem::walk` returns the same stall totals and leaves the same
+    /// statistics and L2 state as the per-reference `access` loop it
+    /// replaced, phase after phase with flushes in between, under every
+    /// visibility, MSHR setting and policy, and in infinite mode.
+    #[test]
+    fn walk_matches_per_reference_access(
+        policy in policies(),
+        mshrs in prop_oneof![Just(None), Just(Some(1usize)), Just(Some(4))],
+        infinite in prop_oneof![Just(false), Just(false), Just(false), Just(true)],
+        refs in raw_refs(),
+        phases in raw_phases(),
+    ) {
+        let config = tiny_hierarchy(mshrs);
+        let mut walked = CoreMem::new(&config, 0.5, policy);
+        walked.set_infinite(infinite);
+        let mut looped = walked.clone();
+        let (mut llc, mut dram) = (Llc::new(18, 16, &[2, 2]), Dram::default());
+        let (mut looped_llc, mut looped_dram) = (llc.clone(), dram.clone());
+        let lookahead = CoreMem::LOOKAHEAD;
+        let mut next = 0;
+        for (i, &(len_choice, random_len, vis, flush, start)) in phases.iter().enumerate() {
+            let len = [0, 1, lookahead - 1, lookahead, lookahead + 1, random_len]
+                [len_choice as usize];
+            let stream: Vec<Access> =
+                (0..len).map(|k| to_access(&refs[(next + k) % refs.len()])).collect();
+            next += len;
+            let vis = [Visibility::Primary, Visibility::PrimaryFlushPending, Visibility::Harvest]
+                [vis as usize];
+            match flush {
+                1 => prop_assert_eq!(walked.flush_harvest_region(), looped.flush_harvest_region()),
+                2 => prop_assert_eq!(walked.flush_all(), looped.flush_all()),
+                _ => {}
+            }
+            let start = Cycles::new(start);
+            let total = walked.walk(start, stream.iter().copied(), vis, &mut llc, &mut dram);
+            let mut expected = Cycles::ZERO;
+            for &acc in &stream {
+                let now = if mshrs.is_some() { start + expected } else { start };
+                expected += looped.access(now, acc, vis, &mut looped_llc, &mut looped_dram).stall;
+            }
+            prop_assert_eq!(total, expected, "phase {} ({} refs)", i, len);
+        }
+        prop_assert_eq!(walked.structure_stats(), looped.structure_stats());
+        prop_assert_eq!(walked.l2_split(), looped.l2_split());
+        prop_assert_eq!(walked.flush_stats(), looped.flush_stats());
+        for set in 0..walked.l2().sets() {
+            let (w, l) = (walked.l2().way_states(set), looped.l2().way_states(set));
+            prop_assert_eq!(w, l, "L2 set {}", set);
+        }
+        prop_assert_eq!(llc.stats(), looped_llc.stats());
     }
 }

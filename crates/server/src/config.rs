@@ -444,14 +444,24 @@ impl ServerConfig {
         self.primary_vms * self.cores_per_primary
     }
 
-    /// Sanity-checks the topology.
+    /// Sanity-checks the topology and the memory model.
     ///
     /// # Panics
-    /// Panics if VMs need more cores than the server has.
+    /// Panics if VMs need more cores than the server has, MSHR modeling
+    /// asks for zero MSHRs, or `capacity_frac` is outside `(0, 1]`.
     pub fn validate(&self) {
         assert!(
             self.primary_cores() + self.harvest_base_cores <= self.cores,
             "VMs oversubscribe the server"
+        );
+        assert!(
+            self.hierarchy.mshrs != Some(0),
+            "hierarchy.mshrs must be None or at least 1"
+        );
+        assert!(
+            self.capacity_frac > 0.0 && self.capacity_frac <= 1.0,
+            "capacity_frac {} is outside (0, 1]",
+            self.capacity_frac
         );
         assert!(self.harvest_frac > 0.0 && self.harvest_frac < 1.0);
         assert!(self.rps_per_vm > 0.0 && self.requests_per_vm > 0);
@@ -532,6 +542,22 @@ mod tests {
     fn oversubscription_panics() {
         let mut c = ServerConfig::table1(SystemSpec::no_harvest());
         c.cores = 8;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "hierarchy.mshrs must be None or at least 1")]
+    fn zero_mshrs_are_rejected() {
+        let mut c = ServerConfig::small(SystemSpec::hardharvest_block());
+        c.hierarchy.mshrs = Some(0);
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "outside (0, 1]")]
+    fn capacity_fraction_outside_unit_interval_is_rejected() {
+        let mut c = ServerConfig::small(SystemSpec::hardharvest_block());
+        c.capacity_frac = 0.0;
         c.validate();
     }
 

@@ -762,7 +762,8 @@ impl ServerSim {
             let req = &self.requests[&token];
             req.plan.phases[req.phase].stream
         };
-        let stalls = self.stream_stalls(core, &stream, vis);
+        let stalls =
+            self.mems[core].walk(self.now, stream.iter(), vis, &mut self.llc, &mut self.dram);
         let compute = {
             let req = &self.requests[&token];
             req.plan.phases[req.phase].compute
@@ -795,26 +796,6 @@ impl ServerSim {
         }
         self.events
             .push(self.now + lead + duration, Ev::PhaseDone { core, gen });
-    }
-
-    fn stream_stalls(
-        &mut self,
-        core: usize,
-        spec: &hh_workload::StreamSpec,
-        vis: Visibility,
-    ) -> Cycles {
-        // With MSHR modeling the stream advances a time cursor so that
-        // outstanding-miss occupancy (and DRAM bank occupancy) reflect the
-        // real pacing of the phase; the default model issues the sampled
-        // references at the phase start.
-        let cursor_mode = self.cfg.hierarchy.mshrs.is_some();
-        let mem = &mut self.mems[core];
-        let mut total = Cycles::ZERO;
-        for acc in spec.iter() {
-            let t = if cursor_mode { self.now + total } else { self.now };
-            total += mem.access(t, acc, vis, &mut self.llc, &mut self.dram).stall;
-        }
-        total
     }
 
     fn on_phase_done(&mut self, core: usize) {
@@ -1226,7 +1207,8 @@ impl ServerSim {
             };
             let spec = self.job.unit_stream(VmId::from(harvest), unit);
             self.mems[core].set_dram_weight(self.cfg.batch_stall_scale.max(1.0));
-            let stalls = self.stream_stalls(core, &spec, vis);
+            let stalls =
+                self.mems[core].walk(self.now, spec.iter(), vis, &mut self.llc, &mut self.dram);
             self.mems[core].set_dram_weight(1.0);
             let scaled =
                 Cycles::new((stalls.as_u64() as f64 * self.cfg.batch_stall_scale) as u64);
