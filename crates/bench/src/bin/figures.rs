@@ -28,6 +28,10 @@ fn main() {
         ex.scale.servers, ex.scale.requests_per_vm, ex.scale.rps_per_vm
     );
     for id in ids {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "figure timing measures host wall time by design; simulated time never flows from it"
+        )]
         let started = std::time::Instant::now();
         println!("\n===== {id} =====");
         let report = run_figure(&ex, id);

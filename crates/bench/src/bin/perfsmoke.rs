@@ -12,6 +12,10 @@
 //! * `HH_BENCH_OUT` — output path (default `BENCH_figures.json`)
 
 use hh_bench::{run_figure, scale_from_env, ALL_FIGURES};
+#[expect(
+    clippy::disallowed_types,
+    reason = "perfsmoke measures host wall time by design; simulated time never flows from it"
+)]
 use std::time::Instant;
 
 fn main() {
@@ -24,8 +28,16 @@ fn main() {
     );
 
     let mut timings: Vec<(&str, f64)> = Vec::with_capacity(ALL_FIGURES.len());
+    #[expect(
+        clippy::disallowed_types,
+        reason = "perfsmoke measures host wall time by design; simulated time never flows from it"
+    )]
     let total_start = Instant::now();
     for &id in ALL_FIGURES {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "perfsmoke measures host wall time by design; simulated time never flows from it"
+        )]
         let start = Instant::now();
         let table = run_figure(&ex, id);
         let ms = start.elapsed().as_secs_f64() * 1e3;

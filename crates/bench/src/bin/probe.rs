@@ -8,6 +8,10 @@
 
 fn main() {
     for sys in [hh_core::SystemSpec::no_harvest(), hh_core::SystemSpec::harvest_block(), hh_core::SystemSpec::hardharvest_block()] {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "calibration timing measures host wall time by design; simulated time never flows from it"
+        )]
         let t0 = std::time::Instant::now();
         let scale = hh_core::Scale { servers: 1, requests_per_vm: 200, rps_per_vm: 1000.0 };
         let m = hh_core::run_cluster(sys, scale, 99);

@@ -1,15 +1,14 @@
 //! Shared plumbing for the HardHarvest benchmark harness.
 //!
-//! The crate ships two bench targets plus a binary:
+//! The crate's binaries share it:
 //!
-//! * `benches/substrate.rs` — criterion microbenchmarks of the hot
-//!   primitives (cache access under each replacement policy, request-queue
-//!   operations, NoC latency math, address-stream generation, DRAM model);
-//! * `benches/figures.rs` — the figure harness: regenerates the data series
+//! * `src/bin/figures.rs` — the figure harness: regenerates the data series
 //!   of **every** table and figure of the paper's evaluation at a reduced
-//!   scale (`HH_SCALE=paper` for the full runs) and prints the rows;
-//! * `src/bin/figures.rs` — the same harness as a first-class binary with
-//!   argument-driven figure selection.
+//!   scale (`HH_SCALE=paper` for the full runs), selected by figure id;
+//! * `src/bin/perfsmoke.rs` — times every figure and writes the JSON
+//!   ledger;
+//! * `src/bin/trace.rs` — runs figures under hh-trace and exports the
+//!   Perfetto trace.
 
 #![warn(missing_docs)]
 

@@ -67,7 +67,7 @@ fn gen_trace(seed: u64, ways: usize, schedule: MaskSchedule, len: usize) -> OpTr
                     };
                 }
                 MaskSchedule::Adversarial => {
-                    allowed = WayMask((rng.below(1 << ways as u64) as u32).max(0));
+                    allowed = WayMask(rng.below(1 << ways as u64) as u32);
                     if rng.chance(0.25) {
                         t.record_flush(WayMask(rng.below(1 << ways as u64) as u32));
                     }

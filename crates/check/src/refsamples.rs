@@ -107,6 +107,7 @@ impl FromIterator<f64> for RefSamples {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 

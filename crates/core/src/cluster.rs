@@ -193,6 +193,7 @@ pub fn run_cluster(system: SystemSpec, scale: Scale, seed: u64) -> ClusterMetric
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 

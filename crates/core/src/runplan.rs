@@ -17,6 +17,9 @@
 //! order, which makes every metric bit-identical regardless of the worker
 //! count or scheduling interleaving.
 
+// A hot module: the per-access/per-event path must not hide panic branches.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,6 +31,10 @@ use crate::{ClusterMetrics, Scale};
 
 /// A unit of pool work: simulate one server, send its metrics home.
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// The [`MemoTable`] entries whose keys share one hash: each full key with
+/// its result cell.
+type Bucket = Vec<(Box<str>, Arc<OnceLock<ClusterMetrics>>)>;
 
 /// The memo table behind [`RunPlan`]: result cells bucketed by the
 /// fingerprint hash, with the *full* resolved key stored alongside each
@@ -45,7 +52,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// impractical; probing the bucket API is not).
 #[derive(Debug, Default)]
 pub struct MemoTable {
-    buckets: Mutex<BTreeMap<u64, Vec<(Box<str>, Arc<OnceLock<ClusterMetrics>>)>>>,
+    buckets: Mutex<BTreeMap<u64, Bucket>>,
 }
 
 impl MemoTable {
@@ -60,8 +67,10 @@ impl MemoTable {
     /// out of the table before initialization, so concurrent requests for
     /// the same key block on one simulation instead of racing duplicates.
     pub fn cell(&self, hash: u64, full_key: &str) -> Arc<OnceLock<ClusterMetrics>> {
-        // hh-lint: allow(unwrap-in-hot-path): lock poisoning means a worker
-        // panicked mid-simulation; the run is already lost, die loudly.
+        #[expect(
+            clippy::expect_used,
+            reason = "lock poisoning means a worker panicked mid-simulation; the run is already lost, die loudly"
+        )]
         let mut buckets = self.buckets.lock().expect("memo poisoned");
         let bucket = buckets.entry(hash).or_default();
         if let Some((_, cell)) = bucket.iter().find(|(k, _)| &**k == full_key) {
@@ -73,11 +82,13 @@ impl MemoTable {
     }
 
     /// Number of distinct keys stored.
+    #[expect(
+        clippy::expect_used,
+        reason = "poisoning implies a worker already panicked; propagate the failure"
+    )]
     pub fn len(&self) -> usize {
         self.buckets
             .lock()
-            // hh-lint: allow(unwrap-in-hot-path): poisoning implies a
-            // worker already panicked; propagate the failure.
             .expect("memo poisoned")
             .values()
             .map(Vec::len)
@@ -125,8 +136,10 @@ impl RunPlan {
             let rx = Arc::clone(&rx);
             std::thread::spawn(move || loop {
                 // Take the lock only to dequeue; run the job unlocked.
-                // hh-lint: allow(unwrap-in-hot-path): a poisoned queue lock
-                // means a sibling worker panicked; joining it is pointless.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a poisoned queue lock means a sibling worker panicked; joining it is pointless"
+                )]
                 let job = match rx.lock().expect("worker queue poisoned").recv() {
                     Ok(job) => job,
                     Err(_) => break, // executor dropped
@@ -222,12 +235,20 @@ impl RunPlan {
     /// Fans the per-server jobs out to the pool and reassembles the
     /// metrics in server order (determinism does not depend on which
     /// worker finishes first).
+    #[expect(
+        clippy::expect_used,
+        reason = "every slot is filled exactly once by construction of the (i, metrics) channel"
+    )]
     fn simulate(&self, system: SystemSpec, configs: Vec<ServerConfig>) -> ClusterMetrics {
         let n = configs.len();
         let (tx, rx) = mpsc::channel::<(usize, ServerMetrics)>();
         let sys_name = system.name;
         for (i, cfg) in configs.into_iter().enumerate() {
             let tx = tx.clone();
+            #[expect(
+                clippy::expect_used,
+                reason = "send fails only after every worker thread died, which is itself a panic already"
+            )]
             self.queue
                 .send(Box::new(move || {
                     let traced = hh_trace::enabled();
@@ -240,8 +261,6 @@ impl RunPlan {
                     // (caller panicked); nothing left to report then.
                     let _ = tx.send((i, metrics));
                 }))
-                // hh-lint: allow(unwrap-in-hot-path): send fails only after
-                // every worker thread died, which is itself a panic already.
                 .expect("worker pool shut down");
         }
         drop(tx);
@@ -253,8 +272,6 @@ impl RunPlan {
             system.name,
             slots
                 .into_iter()
-                // hh-lint: allow(unwrap-in-hot-path): every slot is filled
-                // exactly once by construction of the (i, metrics) channel.
                 .map(|s| s.expect("server simulation lost"))
                 .collect(),
         )
@@ -301,8 +318,10 @@ fn memo_key(system: SystemSpec, configs: &[ServerConfig]) -> (u64, String) {
     full.push_str(system.name);
     for cfg in configs {
         full.push('\n');
-        // hh-lint: allow(unwrap-in-hot-path): fmt::Write to String cannot
-        // fail; the expect documents that, it never fires.
+        #[expect(
+            clippy::expect_used,
+            reason = "fmt::Write to String cannot fail; the expect documents that, it never fires"
+        )]
         write!(full, "{cfg:?}").expect("String write is infallible");
     }
 
@@ -330,6 +349,7 @@ fn default_workers() -> usize {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 

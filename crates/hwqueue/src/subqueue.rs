@@ -1,6 +1,9 @@
 //! A per-VM logical request subqueue over physical RQ chunks, with the
 //! in-memory overflow subqueue.
 
+// A hot module: the per-access/per-event path must not hide panic branches.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::VecDeque;
 
 use hh_sim::Cycles;
@@ -223,12 +226,14 @@ impl Subqueue {
     /// # Panics
     /// Panics if `token` is not currently running (a protocol violation).
     pub fn mark_blocked(&mut self, token: u64) {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented protocol panic; the scheduler contract (see # Panics) makes this state unreachable"
+        )]
         let s = self
             .slots
             .iter_mut()
             .find(|s| s.token == token && s.status == Status::Running)
-            // hh-lint: allow(unwrap-in-hot-path): documented protocol panic; the scheduler
-            // contract (see # Panics) makes this state unreachable.
             .expect("mark_blocked: token not running");
         s.status = Status::Blocked;
     }
@@ -238,12 +243,14 @@ impl Subqueue {
     /// # Panics
     /// Panics if `token` is not currently blocked.
     pub fn mark_ready(&mut self, token: u64) {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented protocol panic; the scheduler contract (see # Panics) makes this state unreachable"
+        )]
         let s = self
             .slots
             .iter_mut()
             .find(|s| s.token == token && s.status == Status::Blocked)
-            // hh-lint: allow(unwrap-in-hot-path): documented protocol panic; the scheduler
-            // contract (see # Panics) makes this state unreachable.
             .expect("mark_ready: token not blocked");
         s.status = Status::Ready;
     }
@@ -254,12 +261,14 @@ impl Subqueue {
     /// # Panics
     /// Panics if `token` is not currently running.
     pub fn preempt(&mut self, token: u64) {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented protocol panic; the scheduler contract (see # Panics) makes this state unreachable"
+        )]
         let s = self
             .slots
             .iter_mut()
             .find(|s| s.token == token && s.status == Status::Running)
-            // hh-lint: allow(unwrap-in-hot-path): documented protocol panic; the scheduler
-            // contract (see # Panics) makes this state unreachable.
             .expect("preempt: token not running");
         s.status = Status::Ready;
     }
@@ -270,12 +279,14 @@ impl Subqueue {
     /// # Panics
     /// Panics if `token` is not resident.
     pub fn complete(&mut self, token: u64) {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented protocol panic; the scheduler contract (see # Panics) makes this state unreachable"
+        )]
         let pos = self
             .slots
             .iter()
             .position(|s| s.token == token)
-            // hh-lint: allow(unwrap-in-hot-path): documented protocol panic; the scheduler
-            // contract (see # Panics) makes this state unreachable.
             .expect("complete: token not resident");
         self.slots.remove(pos);
         if self.slots.len() < self.capacity() {

@@ -11,6 +11,9 @@
 //! (hit ways, empty ways, private ways, Algorithm 1's candidate window) is
 //! a `u32` way bitmask, so no scan loop re-filters way indices.
 
+// A hot module: the per-access/per-event path must not hide panic branches.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use serde::{Deserialize, Serialize};
 
 use crate::{PolicyKind, WayMask};
@@ -385,10 +388,12 @@ impl SetAssocCache {
         let base = self.block(set);
         let empty = eff & WayMask(!self.valid[set]);
         match self.policy {
+            #[expect(
+                clippy::expect_used,
+                reason = "`eff` was checked non-empty at lookup entry; an empty mask cannot reach here"
+            )]
             PolicyKind::Lru => empty.iter().next().unwrap_or_else(|| {
                 self.lru_of(base, eff)
-                    // hh-lint: allow(unwrap-in-hot-path): `eff` was checked
-                    // non-empty at lookup entry; an empty mask cannot reach here.
                     .expect("allowed mask verified non-empty")
             }),
             PolicyKind::Rrip => match empty.iter().next() {
@@ -421,6 +426,10 @@ impl SetAssocCache {
 
     /// Algorithm 1 from the paper, including the eviction-candidate window.
     /// `empty` holds the invalid ways of `eff`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the final fallback scans the whole window, which holds at least one way"
+    )]
     fn victim_hardharvest(
         &self,
         base: usize,
@@ -470,8 +479,6 @@ impl SetAssocCache {
         self.lru_of(base, preferred & private)
             .or_else(|| self.lru_of(base, other & private))
             .or_else(|| self.lru_of(base, window))
-            // hh-lint: allow(unwrap-in-hot-path): the final fallback scans
-            // the whole window, which holds at least one way.
             .expect("candidate window is non-empty")
     }
 
@@ -609,6 +616,7 @@ fn prefetch_line(p: *const u8) {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 

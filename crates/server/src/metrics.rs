@@ -141,7 +141,7 @@ impl ServerMetrics {
     /// throughput, and pooled tail latency.
     pub fn summary(&self) -> MetricsSummary {
         let pooled = self.pooled_latency_ms();
-        let (p50, p99) = if pooled.len() == 0 {
+        let (p50, p99) = if pooled.is_empty() {
             (0.0, 0.0)
         } else {
             let mut pooled = pooled;
@@ -232,6 +232,7 @@ impl MetricsSummary {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 

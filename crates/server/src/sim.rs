@@ -354,7 +354,7 @@ impl ServerSim {
             }
             self.handle(ev);
             #[cfg(debug_assertions)]
-            if budget % 4096 == 0 {
+            if budget.is_multiple_of(4096) {
                 if let Err(v) = self.check_invariants() {
                     self.report_invariant_violation(&v);
                     panic!("at {}: {v}", self.now);

@@ -451,6 +451,7 @@ impl fmt::Display for Summary {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 

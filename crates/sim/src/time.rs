@@ -194,6 +194,7 @@ impl fmt::Display for Cycles {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 

@@ -1,5 +1,7 @@
 //! Property tests for the DES substrate.
 
+#![allow(clippy::float_cmp)]
+
 use hh_sim::stats::{Histogram, Samples, TimeWeighted};
 use hh_sim::{Cycles, EventQueue, Rng64};
 use proptest::prelude::*;
@@ -14,7 +16,7 @@ proptest! {
             q.push(Cycles::new(t), i);
         }
         let mut expected: Vec<(u64, usize)> =
-            times.iter().copied().zip(0..).map(|(t, i)| (t, i)).collect();
+            times.iter().copied().zip(0..).collect();
         expected.sort_by_key(|&(t, i)| (t, i)); // stable by construction
         let mut got = Vec::new();
         while let Some((t, i)) = q.pop() {

@@ -8,6 +8,10 @@
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Mutex, OnceLock};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the exec collector is the one sanctioned host-time consumer"
+)]
 use std::time::Instant;
 
 /// One executor work item (a memo-table cell or a per-server sim job).
@@ -44,18 +48,22 @@ impl ExecTrace {
     }
 }
 
-// hh-lint: allow(wall-clock-in-sim): the exec collector is the one
-// sanctioned host-time consumer — it measures executor spans for the
-// Perfetto timeline and never feeds simulated time.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the exec collector is the one sanctioned host-time consumer: it measures \
+              executor spans for the Perfetto timeline and never feeds simulated time"
+)]
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 static SPANS: Mutex<Vec<ExecSpan>> = Mutex::new(Vec::new());
 static OCCUPANCY: Mutex<Vec<(f64, i64)>> = Mutex::new(Vec::new());
 static ACTIVE: AtomicI64 = AtomicI64::new(0);
 
 /// Microseconds elapsed since the first call in this process.
+#[expect(
+    clippy::disallowed_types,
+    reason = "executor-span timing is host time by definition; sim time flows through Cycles, never this"
+)]
 pub fn wall_us() -> f64 {
-    // hh-lint: allow(wall-clock-in-sim): executor-span timing is host
-    // time by definition; sim time flows through Cycles, never this.
     EPOCH.get_or_init(Instant::now).elapsed().as_secs_f64() * 1e6
 }
 

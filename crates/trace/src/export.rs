@@ -357,7 +357,7 @@ pub fn summary_table(sessions: &[FinishedSession], exec: &ExecTrace) -> String {
     if !counters.is_empty() {
         let _ = write!(out, "\n{:<40}{:>14}\n", "counter", "total");
         for (name, v) in counters {
-            let _ = write!(out, "{name:<40}{v:>14}\n");
+            let _ = writeln!(out, "{name:<40}{v:>14}");
         }
     }
 
@@ -374,7 +374,7 @@ pub fn summary_table(sessions: &[FinishedSession], exec: &ExecTrace) -> String {
     if !gauges.is_empty() {
         let _ = write!(out, "\n{:<40}{:>14}\n", "gauge", "time-avg");
         for (name, (sum, n)) in gauges {
-            let _ = write!(out, "{name:<40}{:>14.3}\n", sum / n as f64);
+            let _ = writeln!(out, "{name:<40}{:>14.3}", sum / n as f64);
         }
     }
 
@@ -395,9 +395,9 @@ pub fn summary_table(sessions: &[FinishedSession], exec: &ExecTrace) -> String {
             "histogram", "count", "~p50", "~p99"
         );
         for (name, (count, p50, p99, n)) in hists {
-            let _ = write!(
+            let _ = writeln!(
                 out,
-                "{name:<40}{count:>10}{:>12.3}{:>12.3}\n",
+                "{name:<40}{count:>10}{:>12.3}{:>12.3}",
                 p50 / n as f64,
                 p99 / n as f64
             );

@@ -296,6 +296,10 @@ pub fn escape(s: &str) -> String {
 
 /// Formats an `f64` as a JSON number (non-finite values become `0`,
 /// which JSON cannot represent).
+#[expect(
+    clippy::float_cmp,
+    reason = "`v == v.trunc()` is an exact integrality test; integers print without \".0\""
+)]
 pub fn num(v: f64) -> String {
     if v.is_finite() {
         // Shortest round-trip representation; integers print without ".0".

@@ -129,7 +129,7 @@ impl LoadGen {
                 let mean = if b.bursting { b.burst_len } else { b.normal_len };
                 let sojourn =
                     Exponential::with_mean(mean.as_u64() as f64).sample(&mut self.rng);
-                b.state_until = b.state_until + Cycles::new((sojourn as u64).max(1));
+                b.state_until += Cycles::new((sojourn as u64).max(1));
             }
         }
         // Thinning-free approach: sample the gap at the rate in effect at

@@ -219,6 +219,7 @@ impl TraceSet {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 

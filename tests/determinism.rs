@@ -2,6 +2,8 @@
 //! including under the memoizing parallel executor, whatever its worker
 //! count.
 
+#![allow(clippy::float_cmp)]
+
 use hh_core::{Experiments, RunPlan, Scale, SystemSpec};
 
 fn tiny() -> Scale {
