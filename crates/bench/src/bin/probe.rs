@@ -17,8 +17,6 @@ fn main() {
         let m = hh_core::run_cluster(sys, scale, 99);
         let mut lat = m.pooled_latency_ms();
         let sm = &m.servers()[0].services;
-        let mean = |f: &dyn Fn(&hh_core::ServerMetrics) -> f64| f(&m.servers()[0]);
-        let _ = mean;
         let (mut re, mut fl, mut ex, mut io, mut done) = (0.0, 0.0, 0.0, 0.0, 0u64);
         for s in sm {
             re += s.reassign_wait.as_ms();

@@ -4,11 +4,12 @@
 //!
 //! * `src/bin/figures.rs` — the figure harness: regenerates the data series
 //!   of **every** table and figure of the paper's evaluation at a reduced
-//!   scale (`HH_SCALE=paper` for the full runs), selected by figure id;
+//!   scale (`HH_SCALE=paper` for the full runs), selected by figure id, and
+//!   exports a Perfetto trace when `HH_TRACE=<path>` is set;
 //! * `src/bin/perfsmoke.rs` — times every figure and writes the JSON
 //!   ledger;
-//! * `src/bin/trace.rs` — runs figures under hh-trace and exports the
-//!   Perfetto trace.
+//! * `src/bin/probe.rs` — the calibration probe: headline metrics of one
+//!   server under three systems.
 
 #![warn(missing_docs)]
 
@@ -167,12 +168,17 @@ mod tests {
         assert!(ALL_FIGURES.contains(&"fig11"));
     }
 
+    /// The figures that take well under a second regenerate their
+    /// committed tables in `results/` byte for byte.
     #[test]
-    fn cheap_figures_render() {
+    fn cheap_figures_match_results() {
         let ex = Experiments::quick();
-        for id in ["table1", "fig2", "fig3", "storage"] {
-            let s = run_figure(&ex, id);
-            assert!(!s.is_empty(), "{id}");
+        let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for id in ["table1", "fig2", "fig3", "fig14", "storage"] {
+            let path = results.join(format!("{id}.txt"));
+            let golden = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+            assert_eq!(run_figure(&ex, id), golden, "{id} differs from {}", path.display());
         }
     }
 

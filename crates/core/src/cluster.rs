@@ -142,11 +142,6 @@ impl ClusterMetrics {
         (per_service, pooled.percentile(q))
     }
 
-    /// P99 of one service, milliseconds.
-    pub fn service_p99_ms(&self, service: usize) -> f64 {
-        self.service_latency_ms(service).p99()
-    }
-
     /// Average busy cores across servers (Section 6.7).
     pub fn avg_busy_cores(&self) -> f64 {
         let sum: f64 = self.servers.iter().map(ServerMetrics::avg_busy_cores).sum();
@@ -238,7 +233,7 @@ mod tests {
     fn per_service_latency_extraction() {
         let m = run_cluster(SystemSpec::no_harvest(), tiny(), 4);
         for svc in 0..8 {
-            let p99 = m.service_p99_ms(svc);
+            let p99 = m.service_latency_ms(svc).p99();
             assert!(p99 > 0.0, "service {svc}");
         }
     }

@@ -5,11 +5,13 @@
 //! metrics, hh-mem flush stats, hh-hwqueue subqueue totals), which the
 //! session registry harvests at the end of a run; the events come from the
 //! instrumentation at each transition site. A transition that stops
-//! emitting its event makes the two disagree.
+//! emitting its event makes the two disagree. The same sessions must also
+//! export as well-formed Perfetto `trace_event` JSON.
 //!
 //! Kept as its own test binary because tracing is a process-global switch.
 
 use hh_server::{ServerConfig, ServerSim, SystemSpec};
+use hh_trace::export::{perfetto_json, validate_perfetto};
 use hh_trace::{ReassignKind, TraceEvent};
 
 fn count(events: &[TraceEvent], pred: impl Fn(&TraceEvent) -> bool) -> u64 {
@@ -32,6 +34,8 @@ fn every_counted_transition_emits_its_event() {
     }
     let sessions = hh_trace::take_sessions();
     assert_eq!(sessions.len(), systems.len());
+    let shape = validate_perfetto(&perfetto_json(&sessions, &hh_trace::exec::take()));
+    assert!(shape.is_ok(), "invalid Perfetto export: {:?}", shape.err());
 
     let mut seen = [0u64; 4];
     for s in &sessions {

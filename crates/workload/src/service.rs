@@ -29,8 +29,6 @@ pub enum CatalogKind {
     /// The 8 SocialNet services the paper evaluates (default).
     #[default]
     SocialNet,
-    /// A hotelReservation-style composition (6 services).
-    HotelReservation,
 }
 
 /// Static description of one microservice.
@@ -139,48 +137,10 @@ impl ServiceCatalog {
         }
     }
 
-    /// A second catalog modeled on DeathStarBench's hotelReservation
-    /// application (the suite's other widely-used composition): six
-    /// services with a different balance — Search and Recommend are
-    /// compute-heavier, Geo and Rate are lookup-dominated with frequent
-    /// short RPCs.
-    pub fn hotel_reservation() -> Self {
-        let s = |name,
-                 compute_us,
-                 io_calls,
-                 backend_us,
-                 shared_kb,
-                 private_kb,
-                 shared_data_frac| ServiceProfile {
-            name,
-            compute_us,
-            compute_sigma: 0.20,
-            io_calls,
-            backend_us,
-            backend_sigma: 0.35,
-            shared_kb,
-            private_kb,
-            ifetch_frac: 0.35,
-            shared_data_frac,
-            payload_bytes: 768,
-        };
-        ServiceCatalog {
-            services: vec![
-                s("Search", 640.0, 2, 140.0, 192, 48, 0.55),
-                s("Geo", 180.0, 1, 70.0, 64, 8, 0.70),
-                s("Rate", 200.0, 2, 80.0, 80, 16, 0.65),
-                s("Profile", 320.0, 2, 110.0, 128, 24, 0.60),
-                s("Recommend", 560.0, 1, 120.0, 160, 64, 0.45),
-                s("Reserve", 420.0, 3, 130.0, 112, 32, 0.55),
-            ],
-        }
-    }
-
     /// Builds a catalog by kind.
     pub fn of(kind: CatalogKind) -> Self {
         match kind {
             CatalogKind::SocialNet => Self::socialnet(),
-            CatalogKind::HotelReservation => Self::hotel_reservation(),
         }
     }
 
@@ -283,24 +243,8 @@ mod tests {
     }
 
     #[test]
-    fn hotel_catalog_shape() {
-        let c = ServiceCatalog::hotel_reservation();
-        assert_eq!(c.len(), 6);
-        let (_, search) = c.by_name("Search").unwrap();
-        let (_, geo) = c.by_name("Geo").unwrap();
-        assert!(search.compute_us > 3.0 * geo.compute_us);
-        let (_, reserve) = c.by_name("Reserve").unwrap();
-        assert_eq!(reserve.io_calls, 3);
-        for (_, p) in c.iter() {
-            assert!(p.shared_kb + p.private_kb <= 512);
-            assert!(p.io_calls >= 1);
-        }
-    }
-
-    #[test]
     fn catalog_of_kind_dispatches() {
         assert_eq!(ServiceCatalog::of(CatalogKind::SocialNet).len(), 8);
-        assert_eq!(ServiceCatalog::of(CatalogKind::HotelReservation).len(), 6);
         assert_eq!(CatalogKind::default(), CatalogKind::SocialNet);
     }
 }
