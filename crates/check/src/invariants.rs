@@ -2,9 +2,10 @@
 //! [`Invariant`] implementations.
 //!
 //! Each type here packages one rule about a concrete simulator structure.
-//! They compose into [`InvariantSet`]s used three ways: the `hh-check`
-//! binary sweeps them over generated states, the proptest suites assert
-//! them on arbitrary inputs, and hand-written tests call them directly.
+//! They compose into [`InvariantSet`](hh_sim::InvariantSet)s used three
+//! ways: the `hh-check` binary sweeps them over generated states, the
+//! proptest suites assert them on arbitrary inputs, and hand-written tests
+//! call them directly.
 //! (`ServerSim` carries its own internal set — built from the same
 //! machinery — because its invariants need access to private state.)
 

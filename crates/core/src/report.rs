@@ -52,29 +52,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Renders the table as CSV (RFC-4180-style quoting for cells
-    /// containing commas or quotes).
-    pub fn render_csv(&self) -> String {
-        let esc = |c: &str| {
-            if c.contains(',') || c.contains('"') || c.contains('\n') {
-                format!("\"{}\"", c.replace('"', "\"\""))
-            } else {
-                c.to_string()
-            }
-        };
-        let mut out = String::new();
-        let line = |out: &mut String, cells: &[String]| {
-            let row: Vec<String> = cells.iter().map(|c| esc(c)).collect();
-            out.push_str(&row.join(","));
-            out.push('\n');
-        };
-        line(&mut out, &self.header);
-        for row in &self.rows {
-            line(&mut out, row);
-        }
-        out
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -134,15 +111,5 @@ mod tests {
         let mut t = Table::new(vec!["a".into(), "b".into(), "c".into()]);
         t.row(vec!["only-one".into()]);
         assert!(t.render().contains("only-one"));
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new(vec!["k".into(), "v".into()]);
-        t.row(vec!["a,b".into(), "say \"hi\"".into()]);
-        let csv = t.render_csv();
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv.contains("\"a,b\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
     }
 }

@@ -9,17 +9,18 @@
 //!   hands requests to spinning cores, tracks blocked-on-I/O requests, and
 //!   knows which of a Primary VM's bound cores are *on loan* to the Harvest
 //!   VM;
-//! * one **VM State Register Set** per VM (VMCS pointer, CR0/3/4, GDTR,
-//!   LDTR, IDTR, …) so a core can context-switch into a VM without touching
-//!   the hypervisor;
-//! * a per-VM **HarvestMask** register describing the cache/TLB harvest
-//!   region;
 //! * a software **In-memory Overflow Subqueue** per VM for requests that do
 //!   not fit in the hardware chunks.
 //!
 //! [`Controller`] owns the chunk pool and the QMs and implements the
 //! donation protocol of Section 4.1.2; [`storage`] reproduces the
 //! Section 6.8 cost accounting.
+//!
+//! The paper's controller also holds a **VM State Register Set** (VMCS
+//! pointer, CR0/3/4, GDTR, …) and a **HarvestMask** register per VM. Their
+//! values carry no simulated behaviour — the hardware context-switch cost is
+//! a latency in hh-server, and the harvest ways are hh-mem's `WayMask` — so
+//! this crate models them only as the byte counts in [`storage`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -31,6 +32,6 @@ pub mod storage;
 mod subqueue;
 
 pub use controller::{Controller, ControllerConfig};
-pub use manager::{QueueManager, VmKind, VmStateRegs};
+pub use manager::{QueueManager, VmKind};
 pub use rqmap::{ChunkId, ChunkPool, RqMap};
 pub use subqueue::{DequeueSource, EnqueueOutcome, Subqueue};

@@ -1,4 +1,4 @@
-//! Per-VM Queue Managers and VM state registers.
+//! Per-VM Queue Managers.
 
 use hh_sim::{CoreId, Cycles, VmId};
 use serde::{Deserialize, Serialize};
@@ -14,70 +14,12 @@ pub enum VmKind {
     Harvest,
 }
 
-impl VmKind {
-    /// True for [`VmKind::Primary`].
-    pub fn is_primary(self) -> bool {
-        matches!(self, VmKind::Primary)
-    }
-}
-
-/// The per-VM HarvestMask register (Section 4.2.1): one bit per way for
-/// each of the six partitioned structures (L1I, L1D, L2, L1 I-TLB, L1
-/// D-TLB, L2 TLB), 5 B total in the paper's accounting. Loaded into a
-/// core's cache controllers when it is (re-)assigned to the VM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HarvestMask {
-    /// Way bits per structure, in the order above (up to 32 ways each;
-    /// the paper packs them into 40 bits total, we keep them addressable).
-    pub ways: [u32; 6],
-}
-
-impl HarvestMask {
-    /// A mask granting the given fraction of each structure's ways, for
-    /// structures of the Table 1 geometries (8/12/8/4/4/8 ways).
-    pub fn fraction(frac: f64) -> Self {
-        let ways_of = [8usize, 12, 8, 4, 4, 8];
-        let mut ways = [0u32; 6];
-        for (i, &n) in ways_of.iter().enumerate() {
-            let k = ((n as f64 * frac).round() as usize).clamp(0, n);
-            ways[i] = if k == 0 { 0 } else { (1u32 << k) - 1 };
-        }
-        HarvestMask { ways }
-    }
-
-    /// Storage footprint in bytes (Section 6.8: 5 B).
-    pub const BYTES: usize = 5;
-}
-
-/// The VM State Register Set (Table 1: 16 registers of 8 B each): VMCS
-/// pointer, CR0, CR3, CR4, GDTR, LDTR, IDTR and friends. The simulator does
-/// not interpret the values; holding them in the controller is what lets a
-/// core switch VMs without a hypervisor call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VmStateRegs {
-    /// Raw register images.
-    pub regs: [u64; 16],
-}
-
-impl VmStateRegs {
-    /// Synthesizes a distinct register image for a VM.
-    pub fn for_vm(vm: VmId) -> Self {
-        let mut regs = [0u64; 16];
-        for (i, r) in regs.iter_mut().enumerate() {
-            *r = ((vm.0 as u64) << 32) | i as u64;
-        }
-        VmStateRegs { regs }
-    }
-
-    /// Storage footprint in bytes (Section 6.8 accounting).
-    pub const BYTES: usize = 16 * 8;
-}
-
 /// The hardware Queue Manager of one VM (Figure 9).
 ///
 /// A QM owns the VM's request subqueue and RQ-Map, knows whether it manages
-/// a Primary or Harvest VM, tracks which bound cores are on loan, and holds
-/// the VM's HarvestMask and state registers.
+/// a Primary or Harvest VM, and tracks which bound cores are on loan. The
+/// VM State Register Set and HarvestMask it also holds in hardware carry no
+/// simulated behaviour; [`crate::storage`] counts their bytes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QueueManager {
     vm: VmId,
@@ -85,9 +27,6 @@ pub struct QueueManager {
     queue: Subqueue,
     /// Logical→physical chunk translation (Section 4.1.2).
     rq_map: RqMap,
-    state: VmStateRegs,
-    /// The VM's cache/TLB harvest-region configuration.
-    harvest_mask: HarvestMask,
     /// Cores logically bound to this VM (their `MyManager` register points
     /// here).
     bound: Vec<CoreId>,
@@ -108,8 +47,6 @@ impl QueueManager {
             kind,
             queue,
             rq_map: RqMap::new(),
-            state: VmStateRegs::for_vm(vm),
-            harvest_mask: HarvestMask::fraction(0.5),
             bound: Vec::new(),
             on_loan: Vec::new(),
             inflight: 0,
@@ -128,33 +65,11 @@ impl QueueManager {
         self.kind
     }
 
-    /// The VM state register set delivered to cores on a switch.
-    pub fn state_regs(&self) -> VmStateRegs {
-        self.state
-    }
-
-    /// The VM's HarvestMask register, delivered alongside the state
-    /// registers so the core can reconfigure its caches/TLBs.
-    pub fn harvest_mask(&self) -> HarvestMask {
-        self.harvest_mask
-    }
-
-    /// Reprograms the VM's HarvestMask (a default or software-specified
-    /// value, Section 4.2.1).
-    pub fn set_harvest_mask(&mut self, mask: HarvestMask) {
-        self.harvest_mask = mask;
-    }
-
     /// Binds a core to this VM (sets its `MyManager` register).
     pub fn bind_core(&mut self, core: CoreId) {
         if !self.bound.contains(&core) {
             self.bound.push(core);
         }
-    }
-
-    /// Cores bound to this VM.
-    pub fn bound_cores(&self) -> &[CoreId] {
-        &self.bound
     }
 
     /// Marks a bound core as on loan to the Harvest VM.
@@ -183,12 +98,6 @@ impl QueueManager {
     /// Cores currently on loan.
     pub fn loaned_cores(&self) -> &[CoreId] {
         &self.on_loan
-    }
-
-    /// Whether any bound core is on loan — the precondition for the QM to
-    /// raise a reclamation interrupt (Section 4.1.5).
-    pub fn has_loaned_core(&self) -> bool {
-        !self.on_loan.is_empty()
     }
 
     /// Direct access to the subqueue.
@@ -280,43 +189,15 @@ mod tests {
     }
 
     #[test]
-    fn state_regs_distinct_per_vm() {
-        let a = VmStateRegs::for_vm(VmId(1));
-        let b = VmStateRegs::for_vm(VmId(2));
-        assert_ne!(a, b);
-        assert_eq!(VmStateRegs::BYTES, 128);
-    }
-
-    #[test]
-    fn harvest_mask_fraction_covers_structures() {
-        let m = HarvestMask::fraction(0.5);
-        // Half of 8/12/8/4/4/8 ways: 4/6/4/2/2/4 bits set.
-        let counts: Vec<u32> = m.ways.iter().map(|w| w.count_ones()).collect();
-        assert_eq!(counts, vec![4, 6, 4, 2, 2, 4]);
-        assert_eq!(HarvestMask::BYTES, 5);
-        let zero = HarvestMask::fraction(0.0);
-        assert!(zero.ways.iter().all(|&w| w == 0));
-    }
-
-    #[test]
-    fn qm_carries_and_updates_harvest_mask() {
-        let mut m = qm(VmKind::Primary);
-        assert_eq!(m.harvest_mask(), HarvestMask::fraction(0.5));
-        m.set_harvest_mask(HarvestMask::fraction(1.0 / 3.0));
-        assert_ne!(m.harvest_mask(), HarvestMask::fraction(0.5));
-    }
-
-    #[test]
     fn lend_and_reclaim() {
         let mut m = qm(VmKind::Primary);
         m.bind_core(CoreId(3));
         m.bind_core(CoreId(4));
-        assert!(!m.has_loaned_core());
+        assert!(m.loaned_cores().is_empty());
         m.lend_core(CoreId(3));
-        assert!(m.has_loaned_core());
         assert_eq!(m.loaned_cores(), &[CoreId(3)]);
         m.reclaim_core(CoreId(3));
-        assert!(!m.has_loaned_core());
+        assert!(m.loaned_cores().is_empty());
     }
 
     #[test]
@@ -357,7 +238,7 @@ mod tests {
         let mut m = qm(VmKind::Harvest);
         m.bind_core(CoreId(0));
         m.bind_core(CoreId(0));
-        assert_eq!(m.bound_cores().len(), 1);
-        assert!(!m.kind().is_primary());
+        assert_eq!(m.bound, [CoreId(0)]);
+        assert_eq!(m.kind(), VmKind::Harvest);
     }
 }

@@ -53,11 +53,6 @@ impl RqMap {
         self.chunks.is_empty()
     }
 
-    /// The physical chunk backing logical chunk `logical`.
-    pub fn translate(&self, logical: usize) -> Option<ChunkId> {
-        self.chunks.get(logical).copied()
-    }
-
     /// Appends a received chunk at the tail.
     ///
     /// # Panics
@@ -76,12 +71,6 @@ impl RqMap {
     /// Physical chunks in logical order.
     pub fn chunks(&self) -> &[ChunkId] {
         &self.chunks
-    }
-
-    /// Storage cost in bytes: `capacity` entries × (5-bit id + valid bit),
-    /// rounded up per the paper's 24 B figure for 32 entries.
-    pub fn storage_bytes(&self) -> usize {
-        (self.capacity * 6).div_ceil(8)
     }
 }
 
@@ -164,16 +153,16 @@ mod tests {
         m.append(ChunkId(7));
         m.append(ChunkId(1));
         assert_eq!(m.len(), 3);
-        assert_eq!(m.translate(0), Some(ChunkId(3)));
-        assert_eq!(m.translate(2), Some(ChunkId(1)));
+        assert_eq!(m.chunks(), &[ChunkId(3), ChunkId(7), ChunkId(1)]);
         assert_eq!(m.donate_tail(), Some(ChunkId(1)));
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.translate(2), None);
+        assert_eq!(m.chunks(), &[ChunkId(3), ChunkId(7)]);
     }
 
     #[test]
     fn map_storage_is_24_bytes_at_table1_capacity() {
-        assert_eq!(RqMap::new().storage_bytes(), 24);
+        // 32 entries × (5-bit chunk id + valid bit), as Section 6.8 counts.
+        let entries = RqMap::new().capacity as u64;
+        assert_eq!((entries * 6).div_ceil(8), crate::storage::RQ_MAP_BYTES);
     }
 
     #[test]

@@ -35,6 +35,10 @@ pub struct StorageCost {
 /// Bits per RQ entry: 2 status bits + 64-bit payload pointer.
 pub const RQ_ENTRY_BITS: u64 = 66;
 
+/// VM State Register Set: 16 registers × 8 B (VMCS pointer, CR0/3/4,
+/// GDTR, LDTR, IDTR, …).
+pub const VM_STATE_BYTES: u64 = 16 * 8;
+
 /// RQ-Map size: 32 entries × (5-bit physical chunk id + 1 valid bit) = 24 B.
 pub const RQ_MAP_BYTES: u64 = 24;
 
@@ -58,7 +62,7 @@ impl StorageCost {
     ) -> Self {
         let rq_entries = (config.chunks * config.entries_per_chunk) as u64;
         let rq_bits = rq_entries * RQ_ENTRY_BITS;
-        let per_qm_bits = 16 * 8 * 8 + RQ_MAP_BYTES * 8 + HARVEST_MASK_BYTES * 8;
+        let per_qm_bits = (VM_STATE_BYTES + RQ_MAP_BYTES + HARVEST_MASK_BYTES) * 8;
         let qm_bits = per_qm_bits * config.max_vms as u64;
         let per_core_shared = l1d_lines + l2_lines + l1_tlb_entries + l2_tlb_entries;
         StorageCost {

@@ -55,7 +55,6 @@ pub struct Dram {
     config: DramConfig,
     busy_until: Vec<Cycles>,
     accesses: u64,
-    queued: u64,
 }
 
 impl Default for Dram {
@@ -75,7 +74,6 @@ impl Dram {
             config,
             busy_until: vec![Cycles::ZERO; config.banks],
             accesses: 0,
-            queued: 0,
         }
     }
 
@@ -97,9 +95,6 @@ impl Dram {
         // Spread consecutive lines across banks.
         let bank = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) % self.config.banks as u64) as usize;
         let start = now.max(self.busy_until[bank]);
-        if start > now {
-            self.queued += 1;
-        }
         let busy = (self.config.bank_busy.as_u64() as f64 * weight).round() as u64;
         self.busy_until[bank] = start + Cycles::new(busy);
         (start - now) + self.config.access
@@ -108,15 +103,6 @@ impl Dram {
     /// Total accesses served.
     pub fn accesses(&self) -> u64 {
         self.accesses
-    }
-
-    /// Fraction of accesses that experienced queueing.
-    pub fn queue_fraction(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.queued as f64 / self.accesses as f64
-        }
     }
 }
 
@@ -130,7 +116,6 @@ mod tests {
         let mut d = Dram::default();
         assert_eq!(d.access(Cycles::ZERO, 42), Cycles::from_ns(60.0));
         assert_eq!(d.accesses(), 1);
-        assert_eq!(d.queue_fraction(), 0.0);
     }
 
     #[test]
@@ -143,7 +128,6 @@ mod tests {
         assert_eq!(d.access(Cycles::ZERO, 1), Cycles::new(100));
         // Bank busy until 50, so a second access at t=0 waits 50.
         assert_eq!(d.access(Cycles::ZERO, 2), Cycles::new(150));
-        assert!(d.queue_fraction() > 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Network models for the HardHarvest reproduction.
+//! On-chip network models for the HardHarvest reproduction.
 //!
-//! Three networks appear in the paper:
+//! Two of the paper's three networks are modeled here:
 //!
 //! * the regular on-chip **2-D mesh** (Table 1: 5 cycles/hop) that carries
 //!   data between cores, LLC slices and the Request Context Memory;
@@ -87,11 +87,6 @@ impl Mesh2D {
         let center = (self.rows / 2) * self.cols + self.cols / 2;
         self.latency(from, CoreId::from(center))
     }
-
-    /// Worst-case one-way latency across the mesh.
-    pub fn diameter_latency(&self) -> Cycles {
-        Cycles::new(((self.cols - 1) + (self.rows - 1)) as u64 * self.cycles_per_hop)
-    }
 }
 
 /// The dedicated tree network between cores and the HardHarvest controller.
@@ -150,47 +145,6 @@ impl ControlTree {
     }
 }
 
-/// The inter-server network (Table 1: 1 µs round trip, 200 GB/s).
-///
-/// Backend services (Memcached/Redis/MongoDB) live on dedicated servers; a
-/// blocking RPC pays this round trip plus the profiled backend service
-/// time, which the workload crate supplies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct InterServer {
-    /// Network round-trip time.
-    pub round_trip: Cycles,
-    /// Link bandwidth in bytes per cycle (200 GB/s at 3 GHz ≈ 66.7 B/cyc).
-    pub bytes_per_cycle: f64,
-}
-
-impl InterServer {
-    /// Table 1 defaults.
-    pub fn table1() -> Self {
-        InterServer {
-            round_trip: Cycles::from_us(1.0),
-            bytes_per_cycle: 200e9 / 3e9,
-        }
-    }
-
-    /// Latency to move `bytes` one way plus propagation (half the RTT).
-    pub fn transfer(&self, bytes: u64) -> Cycles {
-        let serialization = (bytes as f64 / self.bytes_per_cycle).ceil() as u64;
-        self.round_trip / 2 + Cycles::new(serialization)
-    }
-
-    /// Full RPC wire cost for a request/response pair, excluding backend
-    /// service time.
-    pub fn rpc(&self, request_bytes: u64, response_bytes: u64) -> Cycles {
-        self.transfer(request_bytes) + self.transfer(response_bytes)
-    }
-}
-
-impl Default for InterServer {
-    fn default() -> Self {
-        Self::table1()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,7 +173,9 @@ mod tests {
     #[test]
     fn mesh_diameter_bounds_all_pairs() {
         let m = Mesh2D::table1();
-        let d = m.diameter_latency();
+        // Opposite corners of the 6x6 mesh: 10 hops of 5 cycles.
+        let d = Cycles::new(10 * 5);
+        assert_eq!(m.latency(CoreId(0), CoreId(35)), d);
         for a in 0..36u16 {
             for b in 0..36u16 {
                 assert!(m.latency(CoreId(a), CoreId(b)) <= d);
@@ -254,19 +210,5 @@ mod tests {
         assert_eq!(t.round_trip(CoreId(5)), t.to_controller(CoreId(5)) * 2);
         // A control round trip (12 cycles) is far below a software syscall.
         assert!(t.round_trip(CoreId(5)) < Cycles::from_ns(100.0));
-    }
-
-    #[test]
-    fn inter_server_rpc_at_least_rtt() {
-        let n = InterServer::table1();
-        assert!(n.rpc(128, 1024) >= n.round_trip);
-        // 1 KB at 66 B/cycle adds only a handful of cycles.
-        assert!(n.rpc(128, 1024) < n.round_trip + Cycles::new(64));
-    }
-
-    #[test]
-    fn transfer_scales_with_bytes() {
-        let n = InterServer::table1();
-        assert!(n.transfer(1 << 20) > n.transfer(64));
     }
 }

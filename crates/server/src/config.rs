@@ -1,9 +1,10 @@
 //! System specification: the five evaluated architectures, the ablation
 //! knobs, and all latency models.
 
+use hh_hwqueue::ControllerConfig;
 use hh_mem::{FlushModel, HierarchyConfig, LlcConfig, PolicyKind};
 use hh_sim::Cycles;
-use hh_workload::CatalogKind;
+use hh_workload::{BatchCatalog, CatalogKind};
 use serde::{Deserialize, Serialize};
 
 /// When a Primary-VM core may be stolen (Section 5).
@@ -26,12 +27,6 @@ impl HarvestMode {
     /// Whether harvesting is on at all.
     pub fn enabled(self) -> bool {
         !matches!(self, HarvestMode::Disabled)
-    }
-
-    /// Whether a core idled by a blocking call is *unconditionally*
-    /// stealable ([`HarvestMode::Adaptive`] decides per VM at run time).
-    pub fn steals_on_block(self) -> bool {
-        matches!(self, HarvestMode::OnBlock)
     }
 }
 
@@ -169,10 +164,6 @@ pub struct SystemSpec {
     /// scheduler (the Figures 4/5 characterization scripts move cores per
     /// event, paying full software costs each time).
     pub eager_steal: bool,
-    /// Keep enough resident cores to cover predicted peak demand
-    /// (SmartHarvest's load prediction). The Section 3 characterization
-    /// scripts have no prediction: they steal every idle core.
-    pub predictive_reserve: bool,
 }
 
 impl SystemSpec {
@@ -193,7 +184,6 @@ impl SystemSpec {
             buffer_cores: 2,
             max_loaned_per_vm: usize::MAX,
             eager_steal: true,
-            predictive_reserve: true,
         }
     }
 
@@ -385,15 +375,9 @@ pub struct ServerConfig {
     /// Override of the eviction-candidate fraction `M` (Figure 19);
     /// `None` keeps the policy default of 0.75.
     pub eviction_candidate_frac: Option<f64>,
-    /// Minimum EWMA block duration (µs) for [`HarvestMode::Adaptive`] to
-    /// keep stealing on blocking calls.
-    pub adaptive_block_threshold_us: f64,
     /// Request-queue chunks in the controller (Table 1: 32; the overflow
     /// ablation shrinks this).
     pub rq_chunks: usize,
-    /// Drive arrivals with millisecond-scale bursts (MMPP), like the
-    /// paper's real-trace invocation rates. `false` = plain Poisson.
-    pub bursty_load: bool,
     /// Which microservice composition the Primary VMs run.
     pub catalog: CatalogKind,
     /// Random seed.
@@ -421,9 +405,7 @@ impl ServerConfig {
             capacity_frac: 1.0,
             infinite_cache: false,
             eviction_candidate_frac: None,
-            adaptive_block_threshold_us: 120.0,
             rq_chunks: 32,
-            bursty_load: true,
             catalog: CatalogKind::SocialNet,
             seed: 0xC0FFEE,
         }
@@ -444,15 +426,48 @@ impl ServerConfig {
         self.primary_vms * self.cores_per_primary
     }
 
-    /// Sanity-checks the topology and the memory model.
+    /// Sanity-checks the topology, the controller sizing and the memory
+    /// model, so a config that would fail mid-run fails here instead.
     ///
     /// # Panics
-    /// Panics if VMs need more cores than the server has, MSHR modeling
-    /// asks for zero MSHRs, or `capacity_frac` is outside `(0, 1]`.
+    /// Panics with a message naming the field if VMs need more cores than
+    /// the server has, a VM would get no cores, the controller cannot give
+    /// every VM a QM and a request-queue chunk, `batch_job` is not a batch
+    /// catalog index, MSHR modeling asks for zero MSHRs, `capacity_frac` or
+    /// `eviction_candidate_frac` is outside `(0, 1]`, or `batch_stall_scale`
+    /// is below 1.
     pub fn validate(&self) {
+        assert!(self.primary_vms > 0, "primary_vms must be at least 1");
+        assert!(
+            self.cores_per_primary > 0,
+            "cores_per_primary must be at least 1"
+        );
         assert!(
             self.primary_cores() + self.harvest_base_cores <= self.cores,
             "VMs oversubscribe the server"
+        );
+        assert!(
+            self.primary_cores() < self.cores,
+            "the Harvest VM needs at least one core"
+        );
+        // One QM per VM (Primary VMs plus the Harvest VM), each owning at
+        // least one chunk; chunk ids are 5 bits wide.
+        let vms = self.primary_vms + 1;
+        let max_qms = ControllerConfig::table1().max_vms;
+        assert!(
+            vms <= max_qms,
+            "{vms} VMs exceed the controller's {max_qms} QMs"
+        );
+        assert!(
+            (vms..=32).contains(&self.rq_chunks),
+            "rq_chunks {} is outside [{vms}, 32]: one chunk per VM, 5-bit chunk ids",
+            self.rq_chunks
+        );
+        let jobs = BatchCatalog::paper().len();
+        assert!(
+            self.batch_job < jobs,
+            "batch_job {} is not a batch catalog index (0..{jobs})",
+            self.batch_job
         );
         assert!(
             self.hierarchy.mshrs != Some(0),
@@ -462,6 +477,17 @@ impl ServerConfig {
             self.capacity_frac > 0.0 && self.capacity_frac <= 1.0,
             "capacity_frac {} is outside (0, 1]",
             self.capacity_frac
+        );
+        if let Some(m) = self.eviction_candidate_frac {
+            assert!(
+                m > 0.0 && m <= 1.0,
+                "eviction_candidate_frac {m} is outside (0, 1]"
+            );
+        }
+        assert!(
+            self.batch_stall_scale >= 1.0,
+            "batch_stall_scale {} must be at least 1",
+            self.batch_stall_scale
         );
         assert!(self.harvest_frac > 0.0 && self.harvest_frac < 1.0);
         assert!(self.rps_per_vm > 0.0 && self.requests_per_vm > 0);
@@ -478,11 +504,11 @@ mod tests {
         assert_eq!(five.len(), 5);
         assert_eq!(five[0].name, "NoHarvest");
         assert!(!five[0].mode.enabled());
-        assert!(five[1].mode.enabled() && !five[1].mode.steals_on_block());
-        assert!(five[2].mode.steals_on_block());
+        assert_eq!(five[1].mode, HarvestMode::OnTermination);
+        assert_eq!(five[2].mode, HarvestMode::OnBlock);
         assert_eq!(five[3].opts, OptFlags::all());
         assert_eq!(five[4].name, "HardHarvest-Block");
-        assert!(five[4].mode.steals_on_block());
+        assert_eq!(five[4].mode, HarvestMode::OnBlock);
     }
 
     #[test]
@@ -559,6 +585,97 @@ mod tests {
         let mut c = ServerConfig::small(SystemSpec::hardharvest_block());
         c.capacity_frac = 0.0;
         c.validate();
+    }
+
+    /// A `small` server with one field broken; `validate` must reject it.
+    fn rejects(edit: impl FnOnce(&mut ServerConfig)) {
+        let mut c = ServerConfig::small(SystemSpec::hardharvest_block());
+        edit(&mut c);
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "primary_vms must be at least 1")]
+    fn zero_primary_vms_are_rejected() {
+        rejects(|c| c.primary_vms = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cores_per_primary must be at least 1")]
+    fn zero_cores_per_primary_are_rejected() {
+        rejects(|c| c.cores_per_primary = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "the Harvest VM needs at least one core")]
+    fn harvest_vm_without_cores_is_rejected() {
+        rejects(|c| {
+            c.harvest_base_cores = 0;
+            c.cores = c.primary_cores();
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the controller's 16 QMs")]
+    fn more_vms_than_qms_are_rejected() {
+        rejects(|c| {
+            c.primary_vms = 16;
+            c.cores = 16 * c.cores_per_primary + c.harvest_base_cores;
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "rq_chunks 2 is outside [3, 32]")]
+    fn fewer_chunks_than_vms_are_rejected() {
+        rejects(|c| c.rq_chunks = 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "rq_chunks 0 is outside")]
+    fn zero_chunks_are_rejected() {
+        rejects(|c| c.rq_chunks = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rq_chunks 33 is outside")]
+    fn chunk_ids_past_five_bits_are_rejected() {
+        rejects(|c| c.rq_chunks = 33);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_job 99 is not a batch catalog index")]
+    fn unknown_batch_job_is_rejected() {
+        rejects(|c| c.batch_job = 99);
+    }
+
+    #[test]
+    #[should_panic(expected = "eviction_candidate_frac 0 is outside (0, 1]")]
+    fn zero_candidate_fraction_is_rejected() {
+        rejects(|c| c.eviction_candidate_frac = Some(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "eviction_candidate_frac 2 is outside (0, 1]")]
+    fn candidate_fraction_above_one_is_rejected() {
+        rejects(|c| c.eviction_candidate_frac = Some(2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "eviction_candidate_frac NaN is outside (0, 1]")]
+    fn nan_candidate_fraction_is_rejected() {
+        rejects(|c| c.eviction_candidate_frac = Some(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_stall_scale 0.5 must be at least 1")]
+    fn batch_stall_scale_below_one_is_rejected() {
+        rejects(|c| c.batch_stall_scale = 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_stall_scale NaN must be at least 1")]
+    fn nan_batch_stall_scale_is_rejected() {
+        rejects(|c| c.batch_stall_scale = f64::NAN);
     }
 
     #[test]

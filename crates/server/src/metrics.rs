@@ -23,35 +23,6 @@ pub struct ServiceMetrics {
     pub completed: u64,
 }
 
-impl ServiceMetrics {
-    /// Mean per-request execution time in milliseconds.
-    pub fn mean_exec_ms(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.exec.as_ms() / self.completed as f64
-        }
-    }
-
-    /// Mean per-request reassignment wait in milliseconds.
-    pub fn mean_reassign_ms(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.reassign_wait.as_ms() / self.completed as f64
-        }
-    }
-
-    /// Mean per-request flush wait in milliseconds.
-    pub fn mean_flush_ms(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.flush_wait.as_ms() / self.completed as f64
-        }
-    }
-}
-
 /// Everything a server run reports.
 #[derive(Debug, Clone, Serialize)]
 pub struct ServerMetrics {
@@ -254,21 +225,6 @@ mod tests {
         let mut pooled = m.pooled_latency_ms();
         assert_eq!(pooled.len(), 2);
         assert_eq!(pooled.percentile(1.0), 3.0);
-    }
-
-    #[test]
-    fn service_means_divide_by_completed() {
-        let mut s = ServiceMetrics {
-            exec: Cycles::from_ms(10.0),
-            reassign_wait: Cycles::from_ms(2.0),
-            flush_wait: Cycles::from_ms(1.0),
-            completed: 5,
-            ..ServiceMetrics::default()
-        };
-        s.latency_ms.record(1.0);
-        assert!((s.mean_exec_ms() - 2.0).abs() < 1e-9);
-        assert!((s.mean_reassign_ms() - 0.4).abs() < 1e-9);
-        assert!((s.mean_flush_ms() - 0.2).abs() < 1e-9);
     }
 
     #[test]

@@ -11,8 +11,12 @@ use hh_trace::{trace_event, trace_gauge, trace_hist};
 use hh_trace::{FlushScope, ReassignKind, TraceEvent, TraceSession, NO_INDEX};
 use hh_workload::{BatchCatalog, BatchJob, LoadGen, RequestPlan, ServiceCatalog, ServiceId};
 
-
 use crate::{HarvestMode, ServerConfig, ServerMetrics, SwReassign};
+
+/// Minimum EWMA block duration (µs) for [`HarvestMode::Adaptive`] to keep
+/// stealing on blocking calls: shorter blocks cannot amortize a core's
+/// round trip to the Harvest VM.
+const ADAPTIVE_BLOCK_THRESHOLD_US: f64 = 120.0;
 
 /// Why a core most recently became idle — determines stealability
 /// (Term vs Block, Section 5).
@@ -242,14 +246,11 @@ impl ServerSim {
         // Pre-generate open-loop arrivals per Primary VM.
         let mut pending_arrivals = Vec::with_capacity(n_primary);
         for vm in 0..n_primary {
-            let mut lg = if cfg.bursty_load {
-                // 5x bursts of ~30 ms mean covering ~6% of the time: the
-                // millisecond-scale burstiness of production microservice
-                // traffic (Section 3, Figure 3).
-                LoadGen::bursty(cfg.rps_per_vm, 5.0, 30.0, 0.06, cfg.seed ^ (vm as u64) << 8)
-            } else {
-                LoadGen::poisson(cfg.rps_per_vm, cfg.seed ^ (vm as u64) << 8)
-            };
+            // 5x bursts of ~30 ms mean covering ~6% of the time: the
+            // millisecond-scale burstiness of production microservice
+            // traffic (Section 3, Figure 3).
+            let mut lg =
+                LoadGen::bursty(cfg.rps_per_vm, 5.0, 30.0, 0.06, cfg.seed ^ (vm as u64) << 8);
             let mut arr = lg.take_arrivals(cfg.requests_per_vm);
             arr.reverse(); // pop from the back in order
             pending_arrivals.push(arr);
@@ -903,7 +904,7 @@ impl ServerSim {
             // to amortize the round trip (Section 4.1.5 future work).
             HarvestMode::Adaptive => {
                 reason == IdleReason::Termination
-                    || self.ewma_block_us[bound] >= self.cfg.adaptive_block_threshold_us
+                    || self.ewma_block_us[bound] >= ADAPTIVE_BLOCK_THRESHOLD_US
             }
         };
         if stealable
@@ -1382,7 +1383,7 @@ impl ServerSim {
         // HardHarvest behaviour). While switches are expensive, the agent
         // reserves enough resident cores to cover recent peak demand.
         let o = &self.cfg.system.opts;
-        if (o.hw_ctxtsw && o.partition) || !self.cfg.system.predictive_reserve {
+        if o.hw_ctxtsw && o.partition {
             return cap;
         }
         let reserve = (self.ewma_busy[vm] + 0.5).ceil() as usize;
@@ -1428,7 +1429,7 @@ impl ServerSim {
                 HarvestMode::OnBlock => true,
                 HarvestMode::Adaptive => {
                     c.idle_reason == IdleReason::Termination
-                        || self.ewma_block_us[c.bound] >= self.cfg.adaptive_block_threshold_us
+                        || self.ewma_block_us[c.bound] >= ADAPTIVE_BLOCK_THRESHOLD_US
                 }
             }
     }

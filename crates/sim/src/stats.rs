@@ -1,10 +1,8 @@
-//! Measurement primitives: percentile sets, histograms, time-weighted
-//! utilization accumulators and scalar summaries.
+//! Measurement primitives: percentile sets, histograms and time-weighted
+//! utilization accumulators.
 //!
 //! The paper reports P99 tail latency, median latency, throughput and
 //! core-utilization averages; these types compute all of them.
-
-use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
@@ -287,23 +285,6 @@ impl Histogram {
         self.total
     }
 
-    /// Fraction of observations at or below `value`.
-    pub fn cdf_at(&self, value: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let mut acc = self.underflow;
-        for (i, &c) in self.counts.iter().enumerate() {
-            let hi = self.min * self.growth.powi(i as i32 + 1);
-            if hi <= value {
-                acc += c;
-            } else {
-                break;
-            }
-        }
-        acc as f64 / self.total as f64
-    }
-
     /// Approximate `q`-quantile from the binned data.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.total == 0 {
@@ -386,67 +367,6 @@ impl TimeWeighted {
         } else {
             total / now.as_u64() as f64
         }
-    }
-}
-
-/// Scalar min/mean/max summary of a quantity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: u64,
-    /// Smallest observation (`f64::INFINITY` when empty).
-    pub min: f64,
-    /// Largest observation (`f64::NEG_INFINITY` when empty).
-    pub max: f64,
-    /// Running sum.
-    pub sum: f64,
-}
-
-impl Default for Summary {
-    fn default() -> Self {
-        Summary {
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-        }
-    }
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary::default()
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: f64) {
-        self.count += 1;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-        self.sum += value;
-    }
-
-    /// Arithmetic mean, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} min={:.3} mean={:.3} max={:.3}",
-            self.count,
-            if self.count == 0 { 0.0 } else { self.min },
-            self.mean(),
-            if self.count == 0 { 0.0 } else { self.max },
-        )
     }
 }
 
@@ -652,17 +572,19 @@ mod tests {
 
     #[test]
     fn histogram_cdf_is_monotone() {
+        // The binned CDF, read through its inverse `quantile`: a higher
+        // probability never maps to a smaller value.
         let mut h = Histogram::new(0.01, 1.0, 100);
         for i in 0..1000 {
             h.record(i as f64 / 1000.0);
         }
         let mut prev = 0.0;
-        for p in [0.02, 0.1, 0.3, 0.5, 0.9, 1.0] {
-            let c = h.cdf_at(p);
-            assert!(c >= prev, "cdf must be monotone");
-            prev = c;
+        for q in [0.02, 0.1, 0.3, 0.5, 0.9, 1.0] {
+            let v = h.quantile(q);
+            assert!(v >= prev, "cdf must be monotone");
+            prev = v;
         }
-        assert!((h.cdf_at(0.5) - 0.5).abs() < 0.05);
+        assert!((h.quantile(0.5) - 0.5).abs() < 0.05);
     }
 
     #[test]
@@ -671,7 +593,8 @@ mod tests {
         h.record(1.0);
         h.record(50.0);
         assert_eq!(h.total(), 2);
-        assert!(h.cdf_at(10.0) >= 0.5);
+        // The underflowed half of the mass reports at the range minimum.
+        assert_eq!(h.quantile(0.5), 10.0);
     }
 
     #[test]
@@ -731,24 +654,10 @@ mod tests {
         h.record(1024.0); // at max → clamped into range
         h.record(1e12); // far overflow → clamped to last bin
         assert_eq!(h.total(), 4);
-        // Underflow counts toward the CDF at min.
-        assert!(h.cdf_at(1.0) >= 0.25);
-        // Everything is at or below the top edge even after clamping.
-        assert_eq!(h.cdf_at(f64::INFINITY), 1.0);
+        // Underflow counts toward the mass at min.
+        assert_eq!(h.quantile(0.25), 1.0);
         // Quantiles never escape the configured range.
         assert!(h.quantile(1.0) <= 1.0 * 2f64.powi(11));
         assert!(h.quantile(0.0) >= 1.0);
-    }
-
-    #[test]
-    fn summary_tracks_extremes() {
-        let mut s = Summary::new();
-        for v in [3.0, -1.0, 7.0] {
-            s.record(v);
-        }
-        assert_eq!(s.min, -1.0);
-        assert_eq!(s.max, 7.0);
-        assert!((s.mean() - 3.0).abs() < 1e-12);
-        assert!(!s.to_string().is_empty());
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The paper evaluates 8 latency-critical SocialNet microservices from
 //! DeathStarBench in Primary VMs, driven at Alibaba-trace-derived request
-//! rates, with 8 batch applications (GraphBIG, FunctionBench, CloudSuite,
-//! BioBench) in Harvest VMs. This crate provides:
+//! rates (modeled here as bursty open-loop arrivals), with 8 batch
+//! applications (GraphBIG, FunctionBench, CloudSuite, BioBench) in Harvest
+//! VMs. This crate provides:
 //!
 //! * [`ServiceProfile`] / [`ServiceCatalog`] — parameterized models of the
 //!   8 microservices (execution phases, blocking I/O calls, backend
@@ -15,7 +16,8 @@
 //!   with distinct memory intensities;
 //! * [`trace`] — the synthetic Alibaba-like utilization-trace generator
 //!   behind Figures 2 and 3;
-//! * [`LoadGen`] — the open-loop (client-independent) arrival generator.
+//! * [`LoadGen`] — the open-loop (client-independent) arrival generator, a
+//!   two-state Markov-modulated Poisson process.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

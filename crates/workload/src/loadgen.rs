@@ -3,43 +3,38 @@
 //! The paper uses an open-loop load generator — the client issues requests
 //! at trace-derived rates regardless of server progress — with an average
 //! load of 65–250 requests per second per Primary-VM core, and reports
-//! latency over 100 K invocations across all Primary VMs (Section 5).
+//! latency over 100 K invocations across all Primary VMs (Section 5). The
+//! generator here reproduces that traffic's millisecond-scale burstiness
+//! with a two-state Markov-modulated Poisson process (MMPP).
 
 use hh_sim::{Cycles, Exponential, Rng64};
 
-use crate::trace::UtilizationTrace;
-
 /// An open-loop arrival-time generator for one VM's request stream.
 ///
-/// Arrivals are Poisson with a rate modulated by an Alibaba-style
-/// utilization trace, so low-utilization periods alternate with bursts just
-/// like production load.
+/// Arrivals are Poisson at a rate that alternates between a normal state
+/// and short high-rate bursts, like production microservice traffic.
 ///
 /// # Example
 ///
 /// ```
-/// use hh_sim::{Cycles, Rng64};
 /// use hh_workload::LoadGen;
 ///
-/// let mut lg = LoadGen::poisson(1000.0, 77);
+/// let mut lg = LoadGen::bursty(1000.0, 5.0, 30.0, 0.06, 77);
 /// let t1 = lg.next_arrival();
 /// let t2 = lg.next_arrival();
 /// assert!(t2 > t1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LoadGen {
-    /// Mean arrival rate in requests/second at trace utilization 1.0
-    /// (scaled down by the instantaneous trace value).
-    peak_rps: f64,
-    trace: Option<UtilizationTrace>,
-    /// Millisecond-scale burstiness (Markov-modulated Poisson), if any.
-    burst: Option<BurstModel>,
+    /// Arrival rate in requests/second in the normal state.
+    base_rps: f64,
+    burst: BurstModel,
     rng: Rng64,
     now: Cycles,
 }
 
 /// Two-state MMPP burst model: arrivals alternate between a normal state
-/// and short high-rate bursts, like real microservice traffic.
+/// and short high-rate bursts.
 #[derive(Debug, Clone, Copy)]
 struct BurstModel {
     /// Rate multiplier during a burst.
@@ -55,21 +50,6 @@ struct BurstModel {
 }
 
 impl LoadGen {
-    /// Constant-rate Poisson arrivals at `rps` requests per second.
-    ///
-    /// # Panics
-    /// Panics if `rps` is not strictly positive.
-    pub fn poisson(rps: f64, seed: u64) -> Self {
-        assert!(rps > 0.0, "rate must be positive");
-        LoadGen {
-            peak_rps: rps,
-            trace: None,
-            burst: None,
-            rng: Rng64::new(seed),
-            now: Cycles::ZERO,
-        }
-    }
-
     /// Bursty arrivals (two-state MMPP): short bursts at `factor ×` the
     /// normal rate, with mean burst length `burst_ms` covering
     /// `burst_frac` of the time. The long-run average rate is `avg_rps` —
@@ -88,33 +68,14 @@ impl LoadGen {
         let burst_len = Cycles::from_ms(burst_ms);
         let normal_len = Cycles::from_ms(burst_ms * (1.0 - burst_frac) / burst_frac);
         LoadGen {
-            peak_rps: base,
-            trace: None,
-            burst: Some(BurstModel {
+            base_rps: base,
+            burst: BurstModel {
                 factor,
                 burst_len,
                 normal_len,
                 state_until: Cycles::ZERO,
                 bursting: true, // flips to normal at t=0
-            }),
-            rng: Rng64::new(seed),
-            now: Cycles::ZERO,
-        }
-    }
-
-    /// Trace-modulated arrivals: the instantaneous rate is
-    /// `peak_rps × trace.at(t) / trace.average()`, preserving `peak_rps`
-    /// as the long-run average while keeping the trace's bursts.
-    ///
-    /// # Panics
-    /// Panics if `avg_rps` is not strictly positive or the trace is idle.
-    pub fn from_trace(avg_rps: f64, trace: UtilizationTrace, seed: u64) -> Self {
-        assert!(avg_rps > 0.0, "rate must be positive");
-        assert!(trace.average() > 0.0, "trace never active");
-        LoadGen {
-            peak_rps: avg_rps / trace.average(),
-            trace: Some(trace),
-            burst: None,
+            },
             rng: Rng64::new(seed),
             now: Cycles::ZERO,
         }
@@ -123,44 +84,30 @@ impl LoadGen {
     /// Absolute time of the next arrival (strictly increasing).
     pub fn next_arrival(&mut self) -> Cycles {
         // Advance the burst state machine past `now`.
-        if let Some(b) = &mut self.burst {
-            while self.now >= b.state_until {
-                b.bursting = !b.bursting;
-                let mean = if b.bursting { b.burst_len } else { b.normal_len };
-                let sojourn =
-                    Exponential::with_mean(mean.as_u64() as f64).sample(&mut self.rng);
-                b.state_until += Cycles::new((sojourn as u64).max(1));
-            }
+        let b = &mut self.burst;
+        while self.now >= b.state_until {
+            b.bursting = !b.bursting;
+            let mean = if b.bursting {
+                b.burst_len
+            } else {
+                b.normal_len
+            };
+            let sojourn = Exponential::with_mean(mean.as_u64() as f64).sample(&mut self.rng);
+            b.state_until += Cycles::new((sojourn as u64).max(1));
         }
         // Thinning-free approach: sample the gap at the rate in effect at
-        // the current instant; state changes are slow relative to
-        // inter-arrival gaps, so the approximation is tight.
-        let mut rate = match &self.trace {
-            Some(t) => (self.peak_rps * t.at(self.now)).max(self.peak_rps * 0.02),
-            None => self.peak_rps,
+        // the current instant. A burst that starts mid-gap waits for that
+        // gap to end, so the long-run rate runs below `avg_rps` when gaps
+        // are not short next to a burst (~4 % low at 120 RPS).
+        let rate = if b.bursting {
+            self.base_rps * b.factor
+        } else {
+            self.base_rps
         };
-        if let Some(b) = &self.burst {
-            if b.bursting {
-                rate *= b.factor;
-            }
-        }
         let gap_s = Exponential::new(rate).sample(&mut self.rng);
         let gap = Cycles::from_secs(gap_s).max(Cycles::new(1));
         self.now += gap;
         self.now
-    }
-
-    /// Generates all arrivals up to `horizon`, in order.
-    pub fn arrivals_until(&mut self, horizon: Cycles) -> Vec<Cycles> {
-        let mut out = Vec::new();
-        loop {
-            let t = self.next_arrival();
-            if t > horizon {
-                break;
-            }
-            out.push(t);
-        }
-        out
     }
 
     /// Generates exactly `n` arrivals, in order.
@@ -172,20 +119,28 @@ impl LoadGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::UtilizationTrace;
+
+    /// The MMPP parameters `ServerSim` drives every Primary VM with.
+    fn server_like(avg_rps: f64, seed: u64) -> LoadGen {
+        LoadGen::bursty(avg_rps, 5.0, 30.0, 0.06, seed)
+    }
 
     #[test]
     fn poisson_rate_converges() {
-        let mut lg = LoadGen::poisson(200.0, 1);
-        let arrivals = lg.take_arrivals(5_000);
-        let span_s = arrivals.last().unwrap().as_secs();
-        let rate = 5_000.0 / span_s;
+        // The MMPP is Poisson within each state, and its long-run rate
+        // converges to `avg_rps`. ~500 s of arrivals spans ~1000 burst
+        // cycles. Each gap is drawn at the rate in effect when it starts,
+        // so a burst begins only after the normal-state gap in flight
+        // ends; at 200 RPS that costs a few percent of the long-run rate.
+        let mut lg = server_like(200.0, 1);
+        let arrivals = lg.take_arrivals(100_000);
+        let rate = 100_000.0 / arrivals.last().unwrap().as_secs();
         assert!((rate / 200.0 - 1.0).abs() < 0.05, "rate {rate}");
     }
 
     #[test]
     fn arrivals_strictly_increase() {
-        let mut lg = LoadGen::poisson(10_000.0, 2);
+        let mut lg = server_like(10_000.0, 2);
         let arrivals = lg.take_arrivals(1_000);
         for w in arrivals.windows(2) {
             assert!(w[1] > w[0]);
@@ -193,56 +148,31 @@ mod tests {
     }
 
     #[test]
-    fn arrivals_until_respects_horizon() {
-        let mut lg = LoadGen::poisson(1_000.0, 3);
-        let horizon = Cycles::from_secs(0.5);
-        let arrivals = lg.arrivals_until(horizon);
-        assert!(!arrivals.is_empty());
-        assert!(arrivals.iter().all(|&t| t <= horizon));
-        let expected = 500.0;
-        let got = arrivals.len() as f64;
-        assert!((got / expected - 1.0).abs() < 0.2, "got {got}");
-    }
-
-    #[test]
-    fn trace_modulation_preserves_average_rate() {
-        let mut rng = Rng64::new(9);
-        let trace = UtilizationTrace::synthesize(50, &mut rng);
-        let mut lg = LoadGen::from_trace(150.0, trace, 4);
-        // Run long enough to cover many 30 s trace periods.
-        let arrivals = lg.take_arrivals(60_000);
-        let span_s = arrivals.last().unwrap().as_secs();
-        let rate = 60_000.0 / span_s;
-        assert!(
-            (rate / 150.0 - 1.0).abs() < 0.35,
-            "long-run rate {rate} should approximate 150"
-        );
-    }
-
-    #[test]
-    fn trace_modulation_creates_bursts() {
-        let mut rng = Rng64::new(11);
-        let trace = UtilizationTrace::synthesize(50, &mut rng);
-        let mut lg = LoadGen::from_trace(100.0, trace, 5);
-        let horizon = Cycles::from_secs(600.0);
-        let arrivals = lg.arrivals_until(horizon);
-        // Count arrivals per 30 s bucket; bursts make the max bucket far
-        // exceed the min bucket.
-        let mut buckets = vec![0u32; 20];
+    fn bursts_overdisperse_arrival_counts() {
+        // Count arrivals per 30 ms window (one mean burst). A plain Poisson
+        // stream has variance/mean ≈ 1; 5x bursts push it far above.
+        let mut lg = server_like(800.0, 5);
+        let arrivals = lg.take_arrivals(40_000);
+        let window = Cycles::from_ms(30.0).as_u64();
+        let mut counts = vec![0u32; (arrivals.last().unwrap().as_u64() / window) as usize];
         for a in &arrivals {
-            let b = (a.as_secs() / 30.0) as usize;
-            if b < buckets.len() {
-                buckets[b] += 1;
+            if let Some(c) = counts.get_mut((a.as_u64() / window) as usize) {
+                *c += 1;
             }
         }
-        let max = *buckets.iter().max().unwrap() as f64;
-        let min = *buckets.iter().min().unwrap() as f64;
-        assert!(max > 1.5 * (min + 1.0), "buckets {buckets:?}");
+        let n = counts.len() as f64;
+        let mean = counts.iter().map(|&c| f64::from(c)).sum::<f64>() / n;
+        let var = counts
+            .iter()
+            .map(|&c| (f64::from(c) - mean).powi(2))
+            .sum::<f64>()
+            / n;
+        assert!(var / mean > 3.0, "dispersion {:.2}", var / mean);
     }
 
     #[test]
     #[should_panic(expected = "rate must be positive")]
     fn zero_rate_panics() {
-        LoadGen::poisson(0.0, 1);
+        server_like(0.0, 1);
     }
 }

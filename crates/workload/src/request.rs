@@ -114,11 +114,6 @@ impl RequestPlan {
     pub fn total_compute(&self) -> Cycles {
         self.phases.iter().map(|p| p.compute).sum()
     }
-
-    /// Total blocked I/O time across phases.
-    pub fn total_io(&self) -> Cycles {
-        self.phases.iter().filter_map(|p| p.io_after).sum()
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +156,8 @@ mod tests {
     fn io_time_reflects_backend_profile() {
         let plan = plan_for("HomeT", 5);
         // 3 RPCs of median ~150 µs + 1 µs wire each.
-        let io = plan.total_io().as_us();
+        let io: Cycles = plan.phases.iter().filter_map(|p| p.io_after).sum();
+        let io = io.as_us();
         assert!((150.0..1800.0).contains(&io), "io {io}us");
     }
 

@@ -7,7 +7,7 @@
 //! working sets split into cross-invocation *shared* pages and
 //! per-invocation *private* pages (Sections 2.1, 3, 4.2.2).
 
-use hh_sim::{Cycles, LogNormal};
+use hh_sim::LogNormal;
 use serde::{Deserialize, Serialize};
 
 /// Index of a microservice in the catalog.
@@ -62,11 +62,6 @@ pub struct ServiceProfile {
 }
 
 impl ServiceProfile {
-    /// Warm compute time as cycles.
-    pub fn compute_cycles(&self) -> Cycles {
-        Cycles::from_us(self.compute_us)
-    }
-
     /// Number of compute phases (`io_calls + 1`).
     pub fn phases(&self) -> usize {
         self.io_calls + 1

@@ -7,6 +7,9 @@
 //! measured at 30-second granularity and shows bursty spikes over a low
 //! baseline. The generator reproduces exactly those statistics, which is
 //! all the harvesting opportunity depends on.
+//!
+//! The traces feed Figures 2 and 3 only; the simulated request arrivals
+//! come from [`crate::LoadGen`]'s burst model.
 
 use hh_sim::{Cycles, Rng64};
 use serde::{Deserialize, Serialize};
@@ -79,49 +82,10 @@ impl UtilizationTrace {
     }
 
     /// Utilization at an absolute simulation time (wrapping around the
-    /// trace end), used to modulate the open-loop load generator.
+    /// trace end).
     pub fn at(&self, now: Cycles) -> f64 {
         let idx = (now.as_u64() / SAMPLE_PERIOD.as_u64()) as usize % self.samples.len();
         self.samples[idx]
-    }
-}
-
-impl UtilizationTrace {
-    /// Parses a trace from one CSV line of utilization samples in
-    /// `[0, 1]` (the export format of [`UtilizationTrace::to_csv_line`]),
-    /// so real production traces can replace the synthetic ones.
-    ///
-    /// # Errors
-    /// Returns a message naming the offending field if any sample fails to
-    /// parse or is outside `[0, 1]`, or if the line is empty.
-    pub fn from_csv_line(line: &str) -> Result<Self, String> {
-        let mut samples = Vec::new();
-        for (i, field) in line.split(',').enumerate() {
-            let field = field.trim();
-            if field.is_empty() {
-                continue;
-            }
-            let v: f64 = field
-                .parse()
-                .map_err(|e| format!("field {i} ({field:?}): {e}"))?;
-            if !(0.0..=1.0).contains(&v) {
-                return Err(format!("field {i}: utilization {v} outside [0, 1]"));
-            }
-            samples.push(v);
-        }
-        if samples.is_empty() {
-            return Err("empty trace line".into());
-        }
-        Ok(UtilizationTrace { samples })
-    }
-
-    /// Serializes the trace as one CSV line.
-    pub fn to_csv_line(&self) -> String {
-        self.samples
-            .iter()
-            .map(|v| format!("{v:.6}"))
-            .collect::<Vec<_>>()
-            .join(",")
     }
 }
 
@@ -168,39 +132,6 @@ impl TraceSet {
         assert!(!sorted.is_empty());
         let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
         sorted[rank - 1]
-    }
-
-    /// Parses a whole population from CSV (one instance per line); lines
-    /// that are empty or start with `#` are skipped.
-    ///
-    /// # Errors
-    /// Propagates the first per-line parse failure with its line number.
-    pub fn from_csv(text: &str) -> Result<Self, String> {
-        let mut traces = Vec::new();
-        for (n, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            traces.push(
-                UtilizationTrace::from_csv_line(line)
-                    .map_err(|e| format!("line {}: {e}", n + 1))?,
-            );
-        }
-        if traces.is_empty() {
-            return Err("no traces in input".into());
-        }
-        Ok(TraceSet { traces })
-    }
-
-    /// Serializes the population as CSV, one instance per line.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("# utilization samples at 30s granularity, one instance per line\n");
-        for t in &self.traces {
-            out.push_str(&t.to_csv_line());
-            out.push('\n');
-        }
-        out
     }
 
     /// A representative bursty trace for Figure 3: the instance whose
@@ -288,37 +219,6 @@ mod tests {
         let wrapped = t.at(SAMPLE_PERIOD * 10);
         assert_eq!(wrapped, t.samples()[0]);
         assert_eq!(t.at(SAMPLE_PERIOD * 3), t.samples()[3]);
-    }
-
-    #[test]
-    fn csv_roundtrip_preserves_traces() {
-        let set = TraceSet::synthesize(5, 20, 99);
-        let csv = set.to_csv();
-        let back = TraceSet::from_csv(&csv).unwrap();
-        assert_eq!(back.traces().len(), 5);
-        for (a, b) in set.traces().iter().zip(back.traces()) {
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.samples().iter().zip(b.samples()) {
-                assert!((x - y).abs() < 1e-5);
-            }
-        }
-    }
-
-    #[test]
-    fn csv_rejects_bad_input() {
-        assert!(UtilizationTrace::from_csv_line("0.2,nope,0.3").is_err());
-        assert!(UtilizationTrace::from_csv_line("0.2,1.5").is_err());
-        assert!(UtilizationTrace::from_csv_line("").is_err());
-        assert!(TraceSet::from_csv("# only a comment\n").is_err());
-        let err = TraceSet::from_csv("0.1,0.2\n0.3,bad\n").unwrap_err();
-        assert!(err.contains("line 2"), "{err}");
-    }
-
-    #[test]
-    fn csv_skips_comments_and_blanks() {
-        let set = TraceSet::from_csv("# header\n\n0.1,0.2,0.3\n").unwrap();
-        assert_eq!(set.traces().len(), 1);
-        assert_eq!(set.traces()[0].len(), 3);
     }
 
     #[test]

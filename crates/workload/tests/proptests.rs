@@ -59,17 +59,18 @@ proptest! {
         }
     }
 
-    /// Load generators produce strictly increasing arrivals at roughly the
-    /// requested rate for any seed.
+    /// The load generator produces strictly increasing arrivals at roughly
+    /// the requested long-run rate for any seed. 50 K arrivals span at
+    /// least 25 s (50 mean burst cycles), enough to average the bursts out.
     #[test]
     fn loadgen_rate_and_monotonicity(seed in any::<u64>(), rps in 100f64..2000.0) {
-        let mut lg = LoadGen::poisson(rps, seed);
-        let arrivals = lg.take_arrivals(2000);
+        let mut lg = LoadGen::bursty(rps, 5.0, 30.0, 0.06, seed);
+        let arrivals = lg.take_arrivals(50_000);
         for w in arrivals.windows(2) {
             prop_assert!(w[1] > w[0]);
         }
         let span = arrivals.last().unwrap().as_secs();
-        let measured = 2000.0 / span;
+        let measured = 50_000.0 / span;
         prop_assert!((measured / rps - 1.0).abs() < 0.15, "rate {measured} vs {rps}");
     }
 
