@@ -61,7 +61,10 @@ pub fn run_figure(ex: &Experiments, id: &str) -> String {
         "fig6" => {
             let fig = ex.fig6();
             let mut s = fig.to_table().render();
-            s.push_str(&format!("\nslowdown (harvest/noharvest): {:.2}x\n", fig.slowdown()));
+            s.push_str(&format!(
+                "\nslowdown (harvest/noharvest): {:.2}x\n",
+                fig.slowdown()
+            ));
             s
         }
         "fig7" => ex.fig7().to_table().render(),
@@ -96,10 +99,8 @@ pub fn run_figure(ex: &Experiments, id: &str) -> String {
         "fig16" => ex.fig16().to_table().render(),
         "fig17" => ex.fig17().to_table().render(),
         "util" => {
-            let mut t = hh_core::Table::new(vec![
-                "Section 6.7".into(),
-                "avg busy cores (of 36)".into(),
-            ]);
+            let mut t =
+                hh_core::Table::new(vec!["Section 6.7".into(), "avg busy cores (of 36)".into()]);
             for (name, cores) in ex.utilization() {
                 t.row_f64(&name, &[cores]);
             }
@@ -111,15 +112,24 @@ pub fn run_figure(ex: &Experiments, id: &str) -> String {
             let mut t = hh_core::Table::new(vec!["Section 6.8".into(), "value".into()]);
             t.row(vec![
                 "controller storage".into(),
-                format!("{:.2} KB (paper: 18.9 KB)", s.controller_bytes() as f64 / 1024.0),
+                format!(
+                    "{:.2} KB (paper: 18.9 KB)",
+                    s.controller_bytes() as f64 / 1024.0
+                ),
             ]);
             t.row(vec![
                 "controller per core".into(),
-                format!("{:.2} KB (paper: 0.53 KB)", s.controller_bytes_per_core() / 1024.0),
+                format!(
+                    "{:.2} KB (paper: 0.53 KB)",
+                    s.controller_bytes_per_core() / 1024.0
+                ),
             ]);
             t.row(vec![
                 "Shared bits/server".into(),
-                format!("{:.1} KB (paper: 67.8 KB)", s.shared_bit_bytes() as f64 / 1024.0),
+                format!(
+                    "{:.1} KB (paper: 67.8 KB)",
+                    s.shared_bit_bytes() as f64 / 1024.0
+                ),
             ]);
             t.row(vec![
                 "area overhead".into(),
@@ -178,7 +188,12 @@ mod tests {
             let path = results.join(format!("{id}.txt"));
             let golden = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-            assert_eq!(run_figure(&ex, id), golden, "{id} differs from {}", path.display());
+            assert_eq!(
+                run_figure(&ex, id),
+                golden,
+                "{id} differs from {}",
+                path.display()
+            );
         }
     }
 

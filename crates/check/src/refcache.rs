@@ -117,16 +117,18 @@ impl RefCache {
 
     /// Number of currently valid entries across all sets.
     pub fn occupancy(&self) -> usize {
-        self.entries
-            .iter()
-            .flatten()
-            .filter(|e| e.valid)
-            .count()
+        self.entries.iter().flatten().filter(|e| e.valid).count()
     }
 
     /// Performs one access with the same contract as
     /// `SetAssocCache::access`.
-    pub fn access(&mut self, key: u64, shared: bool, allowed: WayMask, write: bool) -> AccessOutcome {
+    pub fn access(
+        &mut self,
+        key: u64,
+        shared: bool,
+        allowed: WayMask,
+        write: bool,
+    ) -> AccessOutcome {
         // The clock ticks first, on every access, hit or miss.
         self.clock += 1;
         let eff = allowed & WayMask::all(self.ways);

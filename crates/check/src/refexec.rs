@@ -65,12 +65,23 @@ pub fn diff_cluster(
         ));
     }
 
-    for (i, (a, b)) in optimized.servers().iter().zip(reference.servers()).enumerate() {
+    for (i, (a, b)) in optimized
+        .servers()
+        .iter()
+        .zip(reference.servers())
+        .enumerate()
+    {
         let ctx = format!("server {i} ({})", a.system);
         macro_rules! field {
             ($name:literal, $fa:expr, $fb:expr) => {
                 if $fa != $fb {
-                    return Err(diverge(i, &ctx, $name, format!("{:?}", $fa), format!("{:?}", $fb)));
+                    return Err(diverge(
+                        i,
+                        &ctx,
+                        $name,
+                        format!("{:?}", $fa),
+                        format!("{:?}", $fb),
+                    ));
                 }
             };
         }
@@ -136,8 +147,7 @@ mod tests {
         let reference = run_cluster_serial(sys, tiny(), 11);
         for workers in [1, 3] {
             let pooled = RunPlan::with_workers(workers).run_cluster(sys, tiny(), 11);
-            diff_cluster(&pooled, &reference)
-                .unwrap_or_else(|d| panic!("workers={workers}: {d}"));
+            diff_cluster(&pooled, &reference).unwrap_or_else(|d| panic!("workers={workers}: {d}"));
         }
     }
 

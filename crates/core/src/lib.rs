@@ -37,12 +37,12 @@ mod report;
 mod runplan;
 
 pub use cluster::{run_cluster, run_cluster_with, ClusterMetrics, Scale};
-pub use runplan::{resolved_configs, MemoTable, RunPlan};
 pub use experiments::{
     BreakdownFigure, Experiments, LatencyFigure, LatencyRow, ThroughputFigure, UtilizationCdf,
 };
 pub use lab::{PolicyHitRates, ReplacementLab};
 pub use report::Table;
+pub use runplan::{resolved_configs, MemoTable, RunPlan};
 
 // Re-export the layers a downstream user typically needs alongside the
 // top-level API.

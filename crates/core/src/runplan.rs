@@ -200,7 +200,11 @@ impl RunPlan {
         tweak: impl Fn(&mut ServerConfig),
     ) -> ClusterMetrics {
         let traced = hh_trace::enabled();
-        let t0 = if traced { hh_trace::exec::wall_us() } else { 0.0 };
+        let t0 = if traced {
+            hh_trace::exec::wall_us()
+        } else {
+            0.0
+        };
         let configs = resolved_configs(system, scale, seed, tweak);
         let (hash, full_key) = memo_key(system, &configs);
         let cell = self.memo.cell(hash, &full_key);
@@ -252,7 +256,11 @@ impl RunPlan {
             self.queue
                 .send(Box::new(move || {
                     let traced = hh_trace::enabled();
-                    let t0 = if traced { hh_trace::exec::wall_us() } else { 0.0 };
+                    let t0 = if traced {
+                        hh_trace::exec::wall_us()
+                    } else {
+                        0.0
+                    };
                     let metrics = ServerSim::new(cfg).run();
                     if traced {
                         hh_trace::exec::record_span(format!("{sys_name}#{i}"), t0, false);
@@ -447,13 +455,10 @@ mod tests {
         let plan: &'static RunPlan = RunPlan::leaked(2);
         let handles: Vec<_> = (0..4)
             .map(|_| {
-                std::thread::spawn(move || {
-                    plan.run_cluster(SystemSpec::harvest_block(), tiny(), 5)
-                })
+                std::thread::spawn(move || plan.run_cluster(SystemSpec::harvest_block(), tiny(), 5))
             })
             .collect();
-        let runs: Vec<ClusterMetrics> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let runs: Vec<ClusterMetrics> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         // Racing threads either hit the memo fast path or block inside the
         // same cell's initialization — never a duplicate simulation.
         assert_eq!(plan.sims_run(), 1);

@@ -273,8 +273,7 @@ mod tests {
     #[test]
     fn paper_configuration_split() {
         // 8 Primary VMs × 4 cores + 1 Harvest VM × 4 cores = 36 cores.
-        let mut spec: Vec<(u16, VmKind, usize)> =
-            (0..8).map(|i| (i, VmKind::Primary, 4)).collect();
+        let mut spec: Vec<(u16, VmKind, usize)> = (0..8).map(|i| (i, VmKind::Primary, 4)).collect();
         spec.push((8, VmKind::Harvest, 4));
         let c = table1_with_vms(&spec);
         assert!(c.chunk_accounting_ok());
@@ -324,8 +323,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "all QM")]
     fn qm_exhaustion_panics() {
-        let spec: Vec<(u16, VmKind, usize)> =
-            (0..17).map(|i| (i, VmKind::Primary, 1)).collect();
+        let spec: Vec<(u16, VmKind, usize)> = (0..17).map(|i| (i, VmKind::Primary, 1)).collect();
         table1_with_vms(&spec);
     }
 
@@ -337,8 +335,7 @@ mod tests {
 
     #[test]
     fn sixteen_vms_each_get_two_chunks() {
-        let spec: Vec<(u16, VmKind, usize)> =
-            (0..16).map(|i| (i, VmKind::Primary, 2)).collect();
+        let spec: Vec<(u16, VmKind, usize)> = (0..16).map(|i| (i, VmKind::Primary, 2)).collect();
         let c = table1_with_vms(&spec);
         assert!(c.chunk_accounting_ok());
         for vm in 0..16u16 {

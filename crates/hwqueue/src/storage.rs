@@ -78,7 +78,7 @@ impl StorageCost {
         Self::compute(
             &ControllerConfig::table1(),
             36,
-            48 * 1024 / 64, // L1D lines
+            48 * 1024 / 64,  // L1D lines
             512 * 1024 / 64, // L2 lines
             128,             // L1 TLB entries
             2048,            // L2 TLB entries
@@ -148,7 +148,10 @@ mod tests {
         assert!((kb - 18.9).abs() < 0.1, "controller {kb:.2} KB");
         // 0.53 KB per core.
         let per_core_kb = s.controller_bytes_per_core() / 1024.0;
-        assert!((per_core_kb - 0.53).abs() < 0.01, "{per_core_kb:.3} KB/core");
+        assert!(
+            (per_core_kb - 0.53).abs() < 0.01,
+            "{per_core_kb:.3} KB/core"
+        );
     }
 
     #[test]

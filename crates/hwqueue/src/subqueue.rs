@@ -139,10 +139,7 @@ impl Subqueue {
 
     /// Whether any request is ready to run.
     pub fn has_ready(&self) -> bool {
-        self.overflow
-            .front()
-            .is_some()
-            || self.slots.iter().any(|s| s.status == Status::Ready)
+        self.overflow.front().is_some() || self.slots.iter().any(|s| s.status == Status::Ready)
     }
 
     /// Peak hardware occupancy observed since creation.
@@ -321,11 +318,7 @@ impl Subqueue {
         while self.slots.len() > self.capacity() {
             // Move the *youngest ready* entries out; running/blocked entries
             // must stay resident because a core or the NIC will touch them.
-            if let Some(pos) = self
-                .slots
-                .iter()
-                .rposition(|s| s.status == Status::Ready)
-            {
+            if let Some(pos) = self.slots.iter().rposition(|s| s.status == Status::Ready) {
                 let s = self.slots.remove(pos);
                 self.overflow.push_front(s);
             } else {

@@ -29,7 +29,9 @@ fn policies() -> impl Strategy<Value = PolicyKind> {
         Just(PolicyKind::Lru),
         Just(PolicyKind::Rrip),
         Just(PolicyKind::hardharvest_default()),
-        Just(PolicyKind::HardHarvest { candidate_frac: 0.5 }),
+        Just(PolicyKind::HardHarvest {
+            candidate_frac: 0.5
+        }),
     ]
 }
 

@@ -20,8 +20,6 @@ mod config;
 mod metrics;
 mod sim;
 
-pub use config::{
-    HarvestMode, LatencyModel, OptFlags, ServerConfig, SwReassign, SystemSpec,
-};
+pub use config::{HarvestMode, LatencyModel, OptFlags, ServerConfig, SwReassign, SystemSpec};
 pub use metrics::{ServerMetrics, ServiceMetrics};
 pub use sim::ServerSim;

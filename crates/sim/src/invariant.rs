@@ -44,7 +44,11 @@ impl InvariantViolation {
 
 impl fmt::Display for InvariantViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invariant `{}` violated: {}", self.invariant, self.detail)
+        write!(
+            f,
+            "invariant `{}` violated: {}",
+            self.invariant, self.detail
+        )
     }
 }
 
@@ -122,7 +126,9 @@ pub struct InvariantSet<S: ?Sized> {
 impl<S: ?Sized> fmt::Debug for InvariantSet<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let names: Vec<&str> = self.invariants.iter().map(|i| i.name()).collect();
-        f.debug_struct("InvariantSet").field("invariants", &names).finish()
+        f.debug_struct("InvariantSet")
+            .field("invariants", &names)
+            .finish()
     }
 }
 
@@ -181,10 +187,18 @@ mod tests {
     fn reports_first_violation_with_name_and_detail() {
         let set: InvariantSet<i64> = InvariantSet::new()
             .with(invariant("lower-bound", |v: &i64| {
-                if *v >= 0 { Ok(()) } else { Err(format!("{v} below 0")) }
+                if *v >= 0 {
+                    Ok(())
+                } else {
+                    Err(format!("{v} below 0"))
+                }
             }))
             .with(invariant("upper-bound", |v: &i64| {
-                if *v <= 10 { Ok(()) } else { Err(format!("{v} above 10")) }
+                if *v <= 10 {
+                    Ok(())
+                } else {
+                    Err(format!("{v} above 10"))
+                }
             }));
         assert_eq!(set.len(), 2);
         assert!(set.check_all(&5).is_ok());

@@ -122,7 +122,13 @@ fn render_event(pid: usize, e: &TraceEvent) -> String {
             r#"{{"name":"arrival vm{vm}","cat":"request","ph":"i","s":"t","ts":{},"pid":{pid},"tid":0,"args":{{"token":{token}}}}}"#,
             ts(*t)
         ),
-        TraceEvent::RequestComplete { t, vm, core, token, latency } => format!(
+        TraceEvent::RequestComplete {
+            t,
+            vm,
+            core,
+            token,
+            latency,
+        } => format!(
             r#"{{"name":"complete vm{vm}","cat":"request","ph":"i","s":"t","ts":{},"pid":{pid},"tid":{},"args":{{"token":{token},"latency_ms":{}}}}}"#,
             ts(*t),
             core + 1,
@@ -134,7 +140,13 @@ fn render_event(pid: usize, e: &TraceEvent) -> String {
             core + 1,
             num(io.as_us())
         ),
-        TraceEvent::PhaseSpan { start, dur, core, vm, token } => format!(
+        TraceEvent::PhaseSpan {
+            start,
+            dur,
+            core,
+            vm,
+            token,
+        } => format!(
             r#"{{"name":"phase vm{vm}","cat":"request","ph":"X","ts":{},"dur":{},"pid":{pid},"tid":{},"args":{{"token":{token}}}}}"#,
             ts(*start),
             ts(*dur),
@@ -146,42 +158,81 @@ fn render_event(pid: usize, e: &TraceEvent) -> String {
             ts(*dur),
             core + 1
         ),
-        TraceEvent::Reassign { t, core, kind, cost } => format!(
+        TraceEvent::Reassign {
+            t,
+            core,
+            kind,
+            cost,
+        } => format!(
             r#"{{"name":"{}","cat":"reassign","ph":"i","s":"t","ts":{},"pid":{pid},"tid":{},"args":{{"cost_us":{}}}}}"#,
             kind.name(),
             ts(*t),
             core + 1,
             num(cost.as_us())
         ),
-        TraceEvent::TransitionSpan { start, dur, core, kind } => format!(
+        TraceEvent::TransitionSpan {
+            start,
+            dur,
+            core,
+            kind,
+        } => format!(
             r#"{{"name":"switch:{}","cat":"reassign","ph":"X","ts":{},"dur":{},"pid":{pid},"tid":{},"args":{{}}}}"#,
             kind.name(),
             ts(*start),
             ts(*dur),
             core + 1
         ),
-        TraceEvent::FlushSpan { start, dur, core, scope, background, dropped_lines } => format!(
+        TraceEvent::FlushSpan {
+            start,
+            dur,
+            core,
+            scope,
+            background,
+            dropped_lines,
+        } => format!(
             r#"{{"name":"flush:{}","cat":"flush","ph":"X","ts":{},"dur":{},"pid":{pid},"tid":{},"args":{{"background":{background},"dropped_lines":{dropped_lines}}}}}"#,
             scope.name(),
             ts(*start),
             ts(*dur),
             core + 1
         ),
-        TraceEvent::CacheEpoch { t, core, epoch, dropped_lines } => format!(
+        TraceEvent::CacheEpoch {
+            t,
+            core,
+            epoch,
+            dropped_lines,
+        } => format!(
             r#"{{"name":"cache-epoch","cat":"flush","ph":"i","s":"t","ts":{},"pid":{pid},"tid":{},"args":{{"epoch":{epoch},"dropped_lines":{dropped_lines}}}}}"#,
             ts(*t),
             core + 1
         ),
-        TraceEvent::Enqueue { t, vm, token, depth, overflow } => format!(
+        TraceEvent::Enqueue {
+            t,
+            vm,
+            token,
+            depth,
+            overflow,
+        } => format!(
             r#"{{"name":"enqueue vm{vm}","cat":"hwqueue","ph":"i","s":"t","ts":{},"pid":{pid},"tid":0,"args":{{"token":{token},"depth":{depth},"overflow":{overflow}}}}}"#,
             ts(*t)
         ),
-        TraceEvent::Dispatch { t, vm, core, token, depth } => format!(
+        TraceEvent::Dispatch {
+            t,
+            vm,
+            core,
+            token,
+            depth,
+        } => format!(
             r#"{{"name":"dispatch vm{vm}","cat":"hwqueue","ph":"i","s":"t","ts":{},"pid":{pid},"tid":{},"args":{{"token":{token},"depth":{depth}}}}}"#,
             ts(*t),
             core + 1
         ),
-        TraceEvent::GaugeSample { t, name, index, value } => format!(
+        TraceEvent::GaugeSample {
+            t,
+            name,
+            index,
+            value,
+        } => format!(
             r#"{{"name":"{}","cat":"gauge","ph":"C","ts":{},"pid":{pid},"tid":0,"args":{{"value":{}}}}}"#,
             escape(&gauge_track(name, *index)),
             ts(*t),
@@ -424,7 +475,11 @@ mod tests {
 
     fn sample_session() -> FinishedSession {
         let mut s = TraceSession::with_capacity("test/seed=0x1", 128);
-        s.record(TraceEvent::RequestArrival { t: Cycles::new(10), vm: 0, token: 7 });
+        s.record(TraceEvent::RequestArrival {
+            t: Cycles::new(10),
+            vm: 0,
+            token: 7,
+        });
         s.record(TraceEvent::Enqueue {
             t: Cycles::new(10),
             vm: 0,
@@ -460,7 +515,12 @@ mod tests {
             background: false,
             dropped_lines: 42,
         });
-        s.gauge("server.busy_cores", crate::event::NO_INDEX, Cycles::new(20), 1.0);
+        s.gauge(
+            "server.busy_cores",
+            crate::event::NO_INDEX,
+            Cycles::new(20),
+            1.0,
+        );
         s.count("server.reassignments", 1);
         s.hist("server.reclaim_latency_us", 0.3);
         s.finish(Cycles::new(10_000))
@@ -469,8 +529,18 @@ mod tests {
     fn sample_exec() -> ExecTrace {
         ExecTrace {
             spans: vec![
-                ExecSpan { label: "HH-Block".into(), start_us: 0.0, dur_us: 50.0, memo_hit: false },
-                ExecSpan { label: "HH-Block".into(), start_us: 10.0, dur_us: 5.0, memo_hit: true },
+                ExecSpan {
+                    label: "HH-Block".into(),
+                    start_us: 0.0,
+                    dur_us: 50.0,
+                    memo_hit: false,
+                },
+                ExecSpan {
+                    label: "HH-Block".into(),
+                    start_us: 10.0,
+                    dur_us: 5.0,
+                    memo_hit: true,
+                },
             ],
             occupancy: vec![(0.0, 1), (50.0, 0)],
         }
@@ -515,10 +585,10 @@ mod tests {
             validate_perfetto(r#"{"traceEvents":[{"ph":"X","name":"x","pid":1,"ts":0}]}"#).is_err(),
             "complete span without dur must fail"
         );
-        assert!(
-            validate_perfetto(r#"{"traceEvents":[{"ph":"i","name":"x","pid":1,"ts":0,"s":"t"}]}"#)
-                .is_ok()
-        );
+        assert!(validate_perfetto(
+            r#"{"traceEvents":[{"ph":"i","name":"x","pid":1,"ts":0,"s":"t"}]}"#
+        )
+        .is_ok());
     }
 
     #[test]

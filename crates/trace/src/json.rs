@@ -194,9 +194,7 @@ impl<'a> Parser<'a> {
                             out.push(char::from_u32(code).ok_or("non-BMP \\u escape")?);
                             self.pos += 4;
                         }
-                        other => {
-                            return Err(format!("bad escape {:?}", other.map(|c| c as char)))
-                        }
+                        other => return Err(format!("bad escape {:?}", other.map(|c| c as char))),
                     }
                     self.pos += 1;
                 }
@@ -322,7 +320,10 @@ mod tests {
         let doc = r#"{"a": [1, 2.5, -3e2], "b": {"nested": true, "s": "x\ny"}, "n": null}"#;
         let v = parse(doc).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_num(), Some(-300.0));
+        assert_eq!(
+            v.get("a").unwrap().as_arr().unwrap()[2].as_num(),
+            Some(-300.0)
+        );
         assert_eq!(v.get("b").unwrap().get("s").unwrap().as_str(), Some("x\ny"));
         assert_eq!(v.get("n"), Some(&Json::Null));
     }

@@ -137,9 +137,15 @@ impl TraceSession {
         if index == NO_INDEX {
             self.registry.gauge_set(name, now, value);
         } else {
-            self.registry.gauge_set(&format!("{name}.{index}"), now, value);
+            self.registry
+                .gauge_set(&format!("{name}.{index}"), now, value);
         }
-        self.ring.push(TraceEvent::GaugeSample { t: now, name, index, value });
+        self.ring.push(TraceEvent::GaugeSample {
+            t: now,
+            name,
+            index,
+            value,
+        });
     }
 
     /// Records into a log-bucketed histogram.
@@ -280,7 +286,11 @@ mod tests {
         trace_count!(slot, "server.x", 1);
         trace_event!(
             slot,
-            TraceEvent::RequestArrival { t: Cycles::new(1), vm: 0, token: 0 }
+            TraceEvent::RequestArrival {
+                t: Cycles::new(1),
+                vm: 0,
+                token: 0
+            }
         );
         trace_gauge!(slot, "server.g", NO_INDEX, Cycles::new(1), 1.0);
         trace_hist!(slot, "server.h", 1.0);
@@ -294,7 +304,11 @@ mod tests {
         trace_count!(slot, "server.x", 3);
         trace_event!(
             slot,
-            TraceEvent::RequestArrival { t: Cycles::new(5), vm: 1, token: 9 }
+            TraceEvent::RequestArrival {
+                t: Cycles::new(5),
+                vm: 1,
+                token: 9
+            }
         );
         trace_gauge!(slot, "server.busy", NO_INDEX, Cycles::new(5), 2.0);
         trace_hist!(slot, "server.lat", 0.5);

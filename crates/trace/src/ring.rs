@@ -66,7 +66,9 @@ impl<T> EventRing<T> {
 
     /// Iterates the held elements oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.buf[self.head..].iter().chain(self.buf[..self.head].iter())
+        self.buf[self.head..]
+            .iter()
+            .chain(self.buf[..self.head].iter())
     }
 
     /// Consumes the ring, returning the held elements oldest-first.
@@ -104,7 +106,10 @@ mod tests {
         }
         assert_eq!(r.len(), 4);
         assert_eq!(r.dropped(), 99);
-        assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![99, 100, 101, 102]);
+        assert_eq!(
+            r.iter().copied().collect::<Vec<_>>(),
+            vec![99, 100, 101, 102]
+        );
     }
 
     #[test]

@@ -155,7 +155,16 @@ mod tests {
         let names: Vec<&str> = c.iter().map(|j| j.name).collect();
         assert_eq!(
             names,
-            ["BFS", "CC", "DC", "PRank", "LRTrain", "RndFTrain", "Hadoop", "MUMmer"]
+            [
+                "BFS",
+                "CC",
+                "DC",
+                "PRank",
+                "LRTrain",
+                "RndFTrain",
+                "Hadoop",
+                "MUMmer"
+            ]
         );
         assert!(!c.is_empty());
     }

@@ -167,7 +167,10 @@ mod tests {
         let b = plan_for("CPost", 9);
         let c = plan_for("CPost", 10);
         assert_eq!(a, b);
-        assert_ne!(a.phases[0].stream.private_base, c.phases[0].stream.private_base);
+        assert_ne!(
+            a.phases[0].stream.private_base,
+            c.phases[0].stream.private_base
+        );
     }
 
     #[test]
@@ -183,6 +186,9 @@ mod tests {
         let plan = plan_for("Text", 3);
         let total_accesses: u32 = plan.phases.iter().map(|ph| ph.stream.accesses).sum();
         let footprint = (p.shared_lines() + p.private_lines()) as u32;
-        assert!(total_accesses >= footprint, "{total_accesses} < {footprint}");
+        assert!(
+            total_accesses >= footprint,
+            "{total_accesses} < {footprint}"
+        );
     }
 }

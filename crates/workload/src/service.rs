@@ -99,25 +99,22 @@ impl ServiceCatalog {
     /// frequent I/O — the two behaviours Section 6.1 calls out — and
     /// (iii) working sets are small relative to the hierarchy (Figure 7).
     pub fn socialnet() -> Self {
-        let s = |name,
-                 compute_us,
-                 io_calls,
-                 backend_us,
-                 shared_kb,
-                 private_kb,
-                 shared_data_frac| ServiceProfile {
-            name,
-            compute_us,
-            compute_sigma: 0.18,
-            io_calls,
-            backend_us,
-            backend_sigma: 0.35,
-            shared_kb,
-            private_kb,
-            ifetch_frac: 0.35,
-            shared_data_frac,
-            payload_bytes: 1024,
-        };
+        let s =
+            |name, compute_us, io_calls, backend_us, shared_kb, private_kb, shared_data_frac| {
+                ServiceProfile {
+                    name,
+                    compute_us,
+                    compute_sigma: 0.18,
+                    io_calls,
+                    backend_us,
+                    backend_sigma: 0.35,
+                    shared_kb,
+                    private_kb,
+                    ifetch_frac: 0.35,
+                    shared_data_frac,
+                    payload_bytes: 1024,
+                }
+            };
         ServiceCatalog {
             services: vec![
                 s("Text", 360.0, 1, 90.0, 96, 24, 0.55),
@@ -213,7 +210,10 @@ mod tests {
         assert!(homet.shared_data_frac >= 0.75);
         assert!(homet.shared_kb > 10 * homet.private_kb);
         assert_eq!(user.io_calls, 3);
-        assert!(user.compute_us < 400.0, "User blocks often relative to work");
+        assert!(
+            user.compute_us < 400.0,
+            "User blocks often relative to work"
+        );
     }
 
     #[test]

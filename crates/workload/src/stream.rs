@@ -176,11 +176,7 @@ mod tests {
         let n = accesses.len() as f64;
         let ifetch = accesses.iter().filter(|a| a.kind.is_ifetch()).count() as f64 / n;
         assert!((ifetch - 0.35).abs() < 0.03, "ifetch {ifetch}");
-        let shared = accesses
-            .iter()
-            .filter(|a| a.class.is_shared())
-            .count() as f64
-            / n;
+        let shared = accesses.iter().filter(|a| a.class.is_shared()).count() as f64 / n;
         // ifetch (all shared) + 55% of the rest ≈ 0.71
         assert!((shared - 0.71).abs() < 0.04, "shared {shared}");
     }
@@ -229,11 +225,7 @@ mod tests {
 
     #[test]
     fn writes_appear_but_are_minority() {
-        let writes = spec()
-            .iter()
-            .filter(|a| a.kind.is_write())
-            .count() as f64
-            / 4000.0;
+        let writes = spec().iter().filter(|a| a.kind.is_write()).count() as f64 / 4000.0;
         assert!(writes > 0.1 && writes < 0.3, "write fraction {writes}");
     }
 }

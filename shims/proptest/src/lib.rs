@@ -182,20 +182,29 @@ pub mod strategy {
 
     impl From<usize> for SizeRange {
         fn from(n: usize) -> Self {
-            SizeRange { lo: n, hi_inclusive: n }
+            SizeRange {
+                lo: n,
+                hi_inclusive: n,
+            }
         }
     }
 
     impl From<Range<usize>> for SizeRange {
         fn from(r: Range<usize>) -> Self {
             assert!(r.end > r.start, "empty length range");
-            SizeRange { lo: r.start, hi_inclusive: r.end - 1 }
+            SizeRange {
+                lo: r.start,
+                hi_inclusive: r.end - 1,
+            }
         }
     }
 
     impl From<RangeInclusive<usize>> for SizeRange {
         fn from(r: RangeInclusive<usize>) -> Self {
-            SizeRange { lo: *r.start(), hi_inclusive: *r.end() }
+            SizeRange {
+                lo: *r.start(),
+                hi_inclusive: *r.end(),
+            }
         }
     }
 
@@ -326,7 +335,9 @@ pub mod prelude {
     pub use crate::prop;
     pub use crate::strategy::{Just, Strategy};
     pub use crate::test_runner::ProptestConfig;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest};
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+    };
 }
 
 /// Defines property tests: each `fn name(pat in strategy, ...) { .. }`

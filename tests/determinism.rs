@@ -20,7 +20,10 @@ fn identical_seeds_produce_identical_metrics() {
     // would serve the second request from its memo table).
     let a = RunPlan::with_workers(2).run_cluster(SystemSpec::hardharvest_block(), tiny(), 123);
     let b = RunPlan::with_workers(2).run_cluster(SystemSpec::hardharvest_block(), tiny(), 123);
-    assert_eq!(a.pooled_latency_ms().values(), b.pooled_latency_ms().values());
+    assert_eq!(
+        a.pooled_latency_ms().values(),
+        b.pooled_latency_ms().values()
+    );
     assert_eq!(a.avg_busy_cores(), b.avg_busy_cores());
     for (sa, sb) in a.servers().iter().zip(b.servers()) {
         assert_eq!(sa.batch_units, sb.batch_units);

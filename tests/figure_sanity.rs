@@ -60,7 +60,10 @@ fn fig7_capacity_series_shape() {
     let inf = fig.avg_of("Inf");
     let quarter = fig.avg_of("25%");
     let full = fig.avg_of("100%");
-    assert!(inf <= full * 1.02, "Inf {inf} should not exceed full {full}");
+    assert!(
+        inf <= full * 1.02,
+        "Inf {inf} should not exceed full {full}"
+    );
     assert!(
         quarter >= full * 0.98,
         "25% ({quarter}) should not beat full ({full})"

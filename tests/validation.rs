@@ -70,8 +70,7 @@ fn throughput_matches_offered_load() {
 /// Utilization accounting: busy cores must never exceed the machine and
 /// must at least cover the Harvest VM's dedicated cores.
 #[test]
-fn utilization_is_physical()
-{
+fn utilization_is_physical() {
     for sys in [SystemSpec::no_harvest(), SystemSpec::hardharvest_block()] {
         let mut cfg = ServerConfig::table1(sys);
         cfg.requests_per_vm = 150;
@@ -79,6 +78,10 @@ fn utilization_is_physical()
         let m = ServerSim::new(cfg).run();
         let busy = m.avg_busy_cores();
         assert!(busy <= 36.0 + 1e-9, "{}: {busy}", sys.name);
-        assert!(busy >= 3.0, "{}: harvest base cores must work: {busy}", sys.name);
+        assert!(
+            busy >= 3.0,
+            "{}: harvest base cores must work: {busy}",
+            sys.name
+        );
     }
 }
