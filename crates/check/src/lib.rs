@@ -43,8 +43,7 @@ pub mod refsamples;
 
 pub use diff::{diff_cache, diff_samples, Divergence, SampleOp};
 pub use invariants::{
-    to_belady_trace, BeladyUpperBound, CachePartition, ChunkConservation, PercentileMonotone,
-    SubqueueFifo, TraceRun,
+    BeladyUpperBound, CachePartition, ChunkConservation, PercentileMonotone, SubqueueFifo, TraceRun,
 };
 pub use refcache::RefCache;
 pub use refexec::{diff_cluster, run_cluster_serial};

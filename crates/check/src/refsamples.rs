@@ -1,11 +1,10 @@
 //! Sort-based reference model of [`hh_sim::stats::Samples`].
 //!
-//! The optimized percentile estimator mixes three answer paths — an O(n)
-//! `select_nth` for one-shot queries, a cached full sort for repeated
-//! queries, and an indexed read once the cache is valid. This model has
-//! exactly one path: clone, sort, index. Every quantile query is answered
-//! the slow obvious way, which makes it the arbiter when the fast paths
-//! disagree.
+//! The optimized percentile estimator answers each query by an O(n)
+//! `select_nth` on a copy of the observations. This model answers it the
+//! slow obvious way: clone, fully sort, index. Selection and sort must
+//! place the same element at every rank, so the model is the arbiter when
+//! they disagree.
 //!
 //! Shared conventions (the contract both models implement): empty sets
 //! report 0.0 for mean, min, max and every percentile; quantiles use

@@ -32,8 +32,8 @@ mod policy;
 mod waymask;
 
 pub use access::{Access, AccessKind, PageClass};
-pub use belady::{BeladyCache, TraceOp};
-pub use cache::{AccessOutcome, BatchRef, CacheStats, SetAssocCache, WayState};
+pub use belady::BeladyCache;
+pub use cache::{AccessOutcome, CacheOp, CacheStats, SetAssocCache, WayState};
 pub use config::{CacheConfig, HierarchyConfig, LlcConfig, TlbConfig};
 pub use dram::{Dram, DramConfig};
 pub use flush::FlushModel;

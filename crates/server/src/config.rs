@@ -434,8 +434,9 @@ impl ServerConfig {
     /// the server has, a VM would get no cores, the controller cannot give
     /// every VM a QM and a request-queue chunk, `batch_job` is not a batch
     /// catalog index, MSHR modeling asks for zero MSHRs, `capacity_frac` or
-    /// `eviction_candidate_frac` is outside `(0, 1]`, or `batch_stall_scale`
-    /// is below 1.
+    /// `eviction_candidate_frac` is outside `(0, 1]`, `batch_stall_scale`
+    /// is below 1, `harvest_frac` is outside `(0, 1)`, `rps_per_vm` is not
+    /// finite and positive, or `requests_per_vm` is zero.
     pub fn validate(&self) {
         assert!(self.primary_vms > 0, "primary_vms must be at least 1");
         assert!(
@@ -489,8 +490,20 @@ impl ServerConfig {
             "batch_stall_scale {} must be at least 1",
             self.batch_stall_scale
         );
-        assert!(self.harvest_frac > 0.0 && self.harvest_frac < 1.0);
-        assert!(self.rps_per_vm > 0.0 && self.requests_per_vm > 0);
+        assert!(
+            self.harvest_frac > 0.0 && self.harvest_frac < 1.0,
+            "harvest_frac {} is outside (0, 1)",
+            self.harvest_frac
+        );
+        assert!(
+            self.rps_per_vm.is_finite() && self.rps_per_vm > 0.0,
+            "rps_per_vm {} must be finite and positive",
+            self.rps_per_vm
+        );
+        assert!(
+            self.requests_per_vm > 0,
+            "requests_per_vm must be at least 1"
+        );
     }
 }
 
@@ -676,6 +689,48 @@ mod tests {
     #[should_panic(expected = "batch_stall_scale NaN must be at least 1")]
     fn nan_batch_stall_scale_is_rejected() {
         rejects(|c| c.batch_stall_scale = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "rps_per_vm inf must be finite and positive")]
+    fn infinite_rate_is_rejected() {
+        rejects(|c| c.rps_per_vm = f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "rps_per_vm 0 must be finite and positive")]
+    fn zero_rate_is_rejected() {
+        rejects(|c| c.rps_per_vm = 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rps_per_vm NaN must be finite and positive")]
+    fn nan_rate_is_rejected() {
+        rejects(|c| c.rps_per_vm = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "requests_per_vm must be at least 1")]
+    fn zero_requests_are_rejected() {
+        rejects(|c| c.requests_per_vm = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "harvest_frac 0 is outside (0, 1)")]
+    fn zero_harvest_fraction_is_rejected() {
+        rejects(|c| c.harvest_frac = 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "harvest_frac 1 is outside (0, 1)")]
+    fn full_harvest_fraction_is_rejected() {
+        rejects(|c| c.harvest_frac = 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "harvest_frac NaN is outside (0, 1)")]
+    fn nan_harvest_fraction_is_rejected() {
+        rejects(|c| c.harvest_frac = f64::NAN);
     }
 
     #[test]

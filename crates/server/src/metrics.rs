@@ -112,12 +112,6 @@ impl ServerMetrics {
     /// throughput, and pooled tail latency.
     pub fn summary(&self) -> MetricsSummary {
         let pooled = self.pooled_latency_ms();
-        let (p50, p99) = if pooled.is_empty() {
-            (0.0, 0.0)
-        } else {
-            let mut pooled = pooled;
-            (pooled.percentile(0.50), pooled.percentile(0.99))
-        };
         MetricsSummary {
             system: self.system,
             completed: self.completed(),
@@ -126,8 +120,8 @@ impl ServerMetrics {
             l2_hit_rate: self.l2_hit_rate(),
             batch_units: self.batch_units,
             batch_units_per_sec: self.batch_units_per_sec(),
-            latency_p50_ms: p50,
-            latency_p99_ms: p99,
+            latency_p50_ms: pooled.percentile(0.50),
+            latency_p99_ms: pooled.percentile(0.99),
             reassignments: self.reassignments,
             reclaims: self.reclaims,
             queue_overflows: self.queue_overflows,
@@ -222,7 +216,7 @@ mod tests {
         let mut m = ServerMetrics::new("X", 2);
         m.services[0].latency_ms.record(1.0);
         m.services[1].latency_ms.record(3.0);
-        let mut pooled = m.pooled_latency_ms();
+        let pooled = m.pooled_latency_ms();
         assert_eq!(pooled.len(), 2);
         assert_eq!(pooled.percentile(1.0), 3.0);
     }

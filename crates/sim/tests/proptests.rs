@@ -31,7 +31,7 @@ proptest! {
         mut values in prop::collection::vec(-1e6f64..1e6, 1..500),
         q in 0.0f64..=1.0,
     ) {
-        let mut s: Samples = values.iter().copied().collect();
+        let s: Samples = values.iter().copied().collect();
         let got = s.percentile(q);
         values.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let rank = ((q * values.len() as f64).ceil() as usize).clamp(1, values.len());

@@ -32,7 +32,7 @@ pub mod trace;
 
 pub use batch::{BatchCatalog, BatchJob};
 pub use loadgen::LoadGen;
-pub use record::{OpTrace, RecordedOp};
+pub use record::OpTrace;
 pub use request::{Phase, RequestPlan};
 pub use service::{CatalogKind, ServiceCatalog, ServiceId, ServiceProfile};
 pub use stream::{PhaseStream, StreamSpec};

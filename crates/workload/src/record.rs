@@ -9,36 +9,15 @@
 //! produces — skewed shared/private references, harvest-restricted masks,
 //! region flushes and HarvestMask reloads.
 
-use hh_mem::WayMask;
+use hh_mem::{CacheOp, WayMask};
 use serde::{Deserialize, Serialize};
 
 use crate::StreamSpec;
 
-/// One recorded cache/TLB operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RecordedOp {
-    /// One reference: key, page class, store bit, and the allowed-way mask
-    /// in force when it was issued.
-    Access {
-        /// Line/page key (already VM-namespaced).
-        key: u64,
-        /// The page-class `Shared` bit.
-        shared: bool,
-        /// Whether the reference dirties the line.
-        write: bool,
-        /// Ways this access may see.
-        allowed: WayMask,
-    },
-    /// A region flush (`invalidate_ways`) over the given ways.
-    InvalidateWays(WayMask),
-    /// A HarvestMask register reload (core reassigned to another VM).
-    SetHarvestMask(WayMask),
-}
-
 /// An ordered cache-operation trace, replayable through any cache model.
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpTrace {
-    ops: Vec<RecordedOp>,
+    ops: Vec<CacheOp>,
 }
 
 impl OpTrace {
@@ -48,7 +27,7 @@ impl OpTrace {
     }
 
     /// The recorded operations in issue order.
-    pub fn ops(&self) -> &[RecordedOp] {
+    pub fn ops(&self) -> &[CacheOp] {
         &self.ops
     }
 
@@ -63,13 +42,13 @@ impl OpTrace {
     }
 
     /// Appends one operation.
-    pub fn push(&mut self, op: RecordedOp) {
+    pub fn push(&mut self, op: CacheOp) {
         self.ops.push(op);
     }
 
     /// Appends one access.
     pub fn access(&mut self, key: u64, shared: bool, write: bool, allowed: WayMask) {
-        self.ops.push(RecordedOp::Access {
+        self.ops.push(CacheOp::Access {
             key,
             shared,
             write,
@@ -94,17 +73,17 @@ impl OpTrace {
 
     /// Records a harvest-region flush.
     pub fn record_flush(&mut self, mask: WayMask) {
-        self.ops.push(RecordedOp::InvalidateWays(mask));
+        self.ops.push(CacheOp::InvalidateWays(mask));
     }
 
     /// Records a HarvestMask reload.
     pub fn record_harvest_mask(&mut self, mask: WayMask) {
-        self.ops.push(RecordedOp::SetHarvestMask(mask));
+        self.ops.push(CacheOp::SetHarvestMask(mask));
     }
 }
 
-impl FromIterator<RecordedOp> for OpTrace {
-    fn from_iter<I: IntoIterator<Item = RecordedOp>>(iter: I) -> Self {
+impl FromIterator<CacheOp> for OpTrace {
+    fn from_iter<I: IntoIterator<Item = CacheOp>>(iter: I) -> Self {
         OpTrace {
             ops: iter.into_iter().collect(),
         }
@@ -137,9 +116,9 @@ mod tests {
         let mask = WayMask::lower(4);
         t.record_phase(&spec(), mask);
         assert_eq!(t.len(), 500);
-        let direct: Vec<RecordedOp> = spec()
+        let direct: Vec<CacheOp> = spec()
             .iter()
-            .map(|a| RecordedOp::Access {
+            .map(|a| CacheOp::Access {
                 key: a.line(),
                 shared: a.class.is_shared(),
                 write: a.kind.is_write(),
@@ -156,8 +135,8 @@ mod tests {
         t.record_flush(WayMask::lower(2));
         t.record_harvest_mask(WayMask::lower(1));
         assert_eq!(t.len(), 3);
-        assert!(matches!(t.ops()[1], RecordedOp::InvalidateWays(_)));
-        assert!(matches!(t.ops()[2], RecordedOp::SetHarvestMask(_)));
+        assert!(matches!(t.ops()[1], CacheOp::InvalidateWays(_)));
+        assert!(matches!(t.ops()[2], CacheOp::SetHarvestMask(_)));
         let copy: OpTrace = t.ops().iter().copied().collect();
         assert_eq!(copy, t);
     }
