@@ -10,7 +10,7 @@
 //! 2. the Belady bound and partition invariant over the same traces;
 //! 3. sample-set traces (repeated queries, empty sets and empty merges)
 //!    against the sort-based percentile reference;
-//! 4. memo-table collision probes;
+//! 4. memo-table identity probes;
 //! 5. pooled cluster runs at worker counts 1, 2 and 8 against the serial
 //!    memo-free reference executor;
 //! 6. subqueue FIFO and RQ-chunk-conservation stress.
@@ -284,11 +284,11 @@ fn check_samples_suite(failures: &mut u32, checks: &mut u32) {
 fn check_memo_suite(failures: &mut u32, checks: &mut u32) {
     *checks += 1;
     let memo = MemoTable::new();
-    let a = memo.cell(0x5EED, "SystemA\nconfig-1");
-    let b = memo.cell(0x5EED, "SystemA\nconfig-2"); // forced hash collision
-    let a_again = memo.cell(0x5EED, "SystemA\nconfig-1");
+    let a = memo.cell("SystemA\nconfig-1");
+    let b = memo.cell("SystemA\nconfig-2");
+    let a_again = memo.cell("SystemA\nconfig-1");
     if std::sync::Arc::ptr_eq(&a, &b) {
-        eprintln!("FAIL memo: hash collision aliased two different configs to one cell");
+        eprintln!("FAIL memo: two different keys aliased one cell");
         *failures += 1;
     }
     if !std::sync::Arc::ptr_eq(&a, &a_again) {
@@ -404,7 +404,7 @@ fn main() {
     check_cache_suite(&mut failures, &mut checks);
     println!("hh-check: percentile differential sweep…");
     check_samples_suite(&mut failures, &mut checks);
-    println!("hh-check: memo-table collision probe…");
+    println!("hh-check: memo-table identity probe…");
     check_memo_suite(&mut failures, &mut checks);
     println!("hh-check: executor differential sweep (workers 1/2/8 + global)…");
     check_executor_suite(&mut failures, &mut checks);

@@ -24,7 +24,7 @@
 //!
 //! The `hh-check` binary sweeps all of it — cache traces across
 //! geometries, policies and harvest-mask schedules; sample-set edge cases;
-//! memo-table collision probes; pooled-vs-serial executor comparisons at
+//! memo-table identity probes; pooled-vs-serial executor comparisons at
 //! several worker counts — and exits non-zero on the first divergence.
 //! Run it with `cargo run --release -p hh-check`.
 //!

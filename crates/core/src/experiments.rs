@@ -335,12 +335,7 @@ impl Experiments {
             // 11-36 per second): one core at a time through the agent.
             // The optimized path moves cores per idle/ready event, as the
             // characterization script does.
-            if matches!(sw, SwReassign::Kvm) {
-                s.max_loaned_per_vm = 1;
-            } else {
-                s.max_loaned_per_vm = 4;
-                s.eager_steal = true;
-            }
+            s.max_loaned_per_vm = if matches!(sw, SwReassign::Kvm) { 1 } else { 4 };
             s
         };
         let systems = vec![
@@ -385,7 +380,6 @@ impl Experiments {
             s.buffer_cores = 0;
             // Per-event moves with the optimized reassignment path.
             s.max_loaned_per_vm = 4;
-            s.eager_steal = true;
             s
         };
         let systems = vec![
@@ -701,7 +695,7 @@ impl Experiments {
             ),
             (
                 "Harvest VMs",
-                format!("1 x {} cores + harvested", cfg.harvest_base_cores),
+                format!("1 x {} cores + harvested", cfg.cores - cfg.primary_cores()),
             ),
             ("RQ", "32 chunks x 64 entries".into()),
             ("Queue Managers", "16".into()),

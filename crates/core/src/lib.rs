@@ -46,6 +46,4 @@ pub use runplan::{resolved_configs, MemoTable, RunPlan};
 
 // Re-export the layers a downstream user typically needs alongside the
 // top-level API.
-pub use hh_server::{
-    HarvestMode, LatencyModel, OptFlags, ServerConfig, ServerMetrics, ServerSim, SystemSpec,
-};
+pub use hh_server::{HarvestMode, OptFlags, ServerConfig, ServerMetrics, ServerSim, SystemSpec};

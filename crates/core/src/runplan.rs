@@ -5,9 +5,8 @@
 //! only in the percentile they report, Figure 17 and the utilization study
 //! revisit the same five systems, and four experiments re-simulate the
 //! stock `NoHarvest` baseline. [`RunPlan`] deduplicates them — a cluster
-//! run is keyed by a fingerprint of its fully-resolved per-server
-//! [`ServerConfig`]s, so any two requests that would simulate the same
-//! thing share one result.
+//! run is keyed by its fully-resolved per-server [`ServerConfig`]s, so
+//! any two requests that would simulate the same thing share one result.
 //!
 //! Per-server [`ServerSim`] jobs from *all* concurrent cluster runs are
 //! scheduled onto one bounded pool of OS threads (default:
@@ -32,27 +31,19 @@ use crate::{ClusterMetrics, Scale};
 /// A unit of pool work: simulate one server, send its metrics home.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// The [`MemoTable`] entries whose keys share one hash: each full key with
-/// its result cell.
-type Bucket = Vec<(Box<str>, Arc<OnceLock<ClusterMetrics>>)>;
-
-/// The memo table behind [`RunPlan`]: result cells bucketed by the
-/// fingerprint hash, with the *full* resolved key stored alongside each
-/// cell.
+/// The memo table behind [`RunPlan`]: one result cell per full resolved
+/// key (system label plus every resolved per-server config).
 ///
-/// Keying by the bare 64-bit FNV-1a fingerprint alone would silently serve
-/// one configuration's [`ClusterMetrics`] for a different configuration on
-/// a hash collision. Instead the hash only selects a bucket; within the
-/// bucket the complete key string (system label plus every resolved
-/// per-server config) is compared before a cell is shared, so colliding
-/// configurations get distinct cells and distinct simulations.
+/// The complete key string is the identity, so two configurations share
+/// a cell only when they are equal; no hash stands in for the key. A
+/// harness run makes about a hundred lookups, each keying a simulation
+/// that runs for seconds, so comparing whole strings is cheap.
 ///
-/// Public so the `hh-check` oracle suite can probe the collision behaviour
-/// directly (forcing a real FNV-1a collision through `ServerConfig` is
-/// impractical; probing the bucket API is not).
+/// Public so the `hh-check` oracle suite can probe the cell identity
+/// directly.
 #[derive(Debug, Default)]
 pub struct MemoTable {
-    buckets: Mutex<BTreeMap<u64, Bucket>>,
+    cells: Mutex<BTreeMap<Box<str>, Arc<OnceLock<ClusterMetrics>>>>,
 }
 
 impl MemoTable {
@@ -61,23 +52,22 @@ impl MemoTable {
         MemoTable::default()
     }
 
-    /// The result cell for (`hash`, `full_key`), created on first use.
-    /// Two calls share a cell only when the full keys match — the hash is
-    /// a bucket index, never the identity. The `Arc<OnceLock>` is cloned
-    /// out of the table before initialization, so concurrent requests for
-    /// the same key block on one simulation instead of racing duplicates.
-    pub fn cell(&self, hash: u64, full_key: &str) -> Arc<OnceLock<ClusterMetrics>> {
+    /// The result cell for `key`, created on first use. Two calls share a
+    /// cell exactly when their keys are equal. The `Arc<OnceLock>` is
+    /// cloned out of the table before initialization, so concurrent
+    /// requests for the same key block on one simulation instead of
+    /// racing duplicates.
+    pub fn cell(&self, key: &str) -> Arc<OnceLock<ClusterMetrics>> {
         #[expect(
             clippy::expect_used,
             reason = "lock poisoning means a worker panicked mid-simulation; the run is already lost, die loudly"
         )]
-        let mut buckets = self.buckets.lock().expect("memo poisoned");
-        let bucket = buckets.entry(hash).or_default();
-        if let Some((_, cell)) = bucket.iter().find(|(k, _)| &**k == full_key) {
+        let mut cells = self.cells.lock().expect("memo poisoned");
+        if let Some(cell) = cells.get(key) {
             return Arc::clone(cell);
         }
         let cell = Arc::new(OnceLock::new());
-        bucket.push((full_key.into(), Arc::clone(&cell)));
+        cells.insert(key.into(), Arc::clone(&cell));
         cell
     }
 
@@ -87,12 +77,7 @@ impl MemoTable {
         reason = "poisoning implies a worker already panicked; propagate the failure"
     )]
     pub fn len(&self) -> usize {
-        self.buckets
-            .lock()
-            .expect("memo poisoned")
-            .values()
-            .map(Vec::len)
-            .sum()
+        self.cells.lock().expect("memo poisoned").len()
     }
 
     /// Whether the table is empty.
@@ -206,8 +191,7 @@ impl RunPlan {
             0.0
         };
         let configs = resolved_configs(system, scale, seed, tweak);
-        let (hash, full_key) = memo_key(system, &configs);
-        let cell = self.memo.cell(hash, &full_key);
+        let cell = self.memo.cell(&memo_key(system, &configs));
         if let Some(hit) = cell.get() {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
             if traced {
@@ -314,13 +298,12 @@ pub fn resolved_configs(
         .collect()
 }
 
-/// The memo identity of one cluster run: the full key string (system label
-/// plus the `Debug` rendering of every resolved per-server config, which
-/// embeds the [`SystemSpec`], the scale knobs and the per-server seed) and
-/// its FNV-1a hash. The label is mixed in so same-config variants renamed
-/// for a figure stay distinct rows. The hash picks the [`MemoTable`]
-/// bucket; the string is what actually identifies the run.
-fn memo_key(system: SystemSpec, configs: &[ServerConfig]) -> (u64, String) {
+/// The memo identity of one cluster run: the system label plus the `Debug`
+/// rendering of every resolved per-server config, which embeds the
+/// [`SystemSpec`], the scale knobs and the per-server seed. The label is
+/// mixed in so same-config variants renamed for a figure stay distinct
+/// rows.
+fn memo_key(system: SystemSpec, configs: &[ServerConfig]) -> String {
     use fmt::Write;
     let mut full = String::with_capacity(256);
     full.push_str(system.name);
@@ -332,15 +315,7 @@ fn memo_key(system: SystemSpec, configs: &[ServerConfig]) -> (u64, String) {
         )]
         write!(full, "{cfg:?}").expect("String write is infallible");
     }
-
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in full.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    (h, full)
+    full
 }
 
 /// `HH_WORKERS` when set to a positive integer, else the machine's
@@ -371,33 +346,34 @@ mod tests {
 
     #[test]
     fn memo_hash_collision_keeps_cells_distinct() {
-        // Two different resolved configs forced onto the same fingerprint
-        // hash: the bucket must hold two cells, not alias one result.
+        // Distinct keys get distinct cells, however alike they are; an
+        // equal key shares its cell.
         let memo = MemoTable::new();
-        let a = memo.cell(0xDEAD_BEEF, "NoHarvest\nconfig-a");
-        let b = memo.cell(0xDEAD_BEEF, "NoHarvest\nconfig-b");
+        let a = memo.cell("NoHarvest\nconfig-a");
+        let b = memo.cell("NoHarvest\nconfig-b");
         assert!(
             !Arc::ptr_eq(&a, &b),
-            "hash collision must not alias two different configs"
+            "distinct keys must not alias one result"
         );
         assert_eq!(memo.len(), 2);
-        // Same hash *and* same full key → the same cell (the memo still
-        // deduplicates what it should).
-        let a_again = memo.cell(0xDEAD_BEEF, "NoHarvest\nconfig-a");
+        let a_again = memo.cell("NoHarvest\nconfig-a");
         assert!(Arc::ptr_eq(&a, &a_again));
         assert_eq!(memo.len(), 2);
     }
 
     #[test]
     fn memo_key_separates_configs_beyond_the_hash() {
+        // Resolved configs that differ in one field get distinct keys and
+        // so distinct cells; resolving the same config again shares one.
         let sys = SystemSpec::no_harvest();
         let a = resolved_configs(sys, tiny(), 9, |_| {});
         let b = resolved_configs(sys, tiny(), 9, |cfg| cfg.requests_per_vm = 20);
-        let (_, key_a) = memo_key(sys, &a);
-        let (_, key_b) = memo_key(sys, &b);
-        assert_ne!(key_a, key_b, "full keys must differ for different configs");
-        let (hash_a2, key_a2) = memo_key(sys, &a);
-        assert_eq!((memo_key(sys, &a).0, key_a.clone()), (hash_a2, key_a2));
+        let memo = MemoTable::new();
+        let cell_a = memo.cell(&memo_key(sys, &a));
+        let cell_b = memo.cell(&memo_key(sys, &b));
+        assert!(!Arc::ptr_eq(&cell_a, &cell_b), "different configs alias");
+        let again = resolved_configs(sys, tiny(), 9, |_| {});
+        assert!(Arc::ptr_eq(&cell_a, &memo.cell(&memo_key(sys, &again))));
     }
 
     #[test]

@@ -109,27 +109,27 @@ impl TlbConfig {
     }
 }
 
-/// Shared-LLC configuration (per-server; Table 1: per core 2 MB, 16-way,
-/// 36-cycle round trip, non-inclusive of the L2).
+/// Round-trip latency of the shared LLC in cycles (Table 1: 36).
+pub const LLC_HIT_CYCLES: u64 = 36;
+
+/// Shared-LLC geometry (per-server; Table 1: per core 2 MB, 16-way,
+/// non-inclusive of the L2). Its latency is [`LLC_HIT_CYCLES`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LlcConfig {
     /// Capacity *per core* in bytes; the server LLC is `cores ×` this.
     pub per_core_bytes: usize,
     /// Associativity of each LLC set.
     pub ways: usize,
-    /// Round-trip latency in cycles.
-    pub hit_cycles: u64,
     /// Cores contributing slices.
     pub cores: usize,
 }
 
 impl LlcConfig {
-    /// Table 1 default: 2 MB/core, 16-way, 36 cycles, 36 cores.
+    /// Table 1 default: 2 MB/core, 16-way, 36 cores.
     pub fn table1() -> Self {
         LlcConfig {
             per_core_bytes: 2 * 1024 * 1024,
             ways: 16,
-            hit_cycles: 36,
             cores: 36,
         }
     }
@@ -145,7 +145,7 @@ impl LlcConfig {
             size_bytes: self.total_bytes(),
             ways: self.ways,
             line_bytes: 64,
-            hit_cycles: self.hit_cycles,
+            hit_cycles: LLC_HIT_CYCLES,
         }
     }
 }
@@ -164,8 +164,6 @@ pub struct HierarchyConfig {
     pub l1_tlb: TlbConfig,
     /// Unified L2 TLB geometry.
     pub l2_tlb: TlbConfig,
-    /// Shared LLC geometry.
-    pub llc: LlcConfig,
     /// Page-walk cost on an L2-TLB miss, in cycles (pointer chase through
     /// the cache hierarchy, collapsed to a constant).
     pub page_walk_cycles: u64,
@@ -190,7 +188,6 @@ impl HierarchyConfig {
             l2: CacheConfig::l2(),
             l1_tlb: TlbConfig::l1(),
             l2_tlb: TlbConfig::l2(),
-            llc: LlcConfig::table1(),
             page_walk_cycles: 120,
             data_stall_factor: 0.45,
             mshrs: None,

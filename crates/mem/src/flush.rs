@@ -1,4 +1,4 @@
-//! Flush/invalidate latency models (paper Sections 3 and 4.2).
+//! Flush/invalidate latencies (paper Sections 3 and 4.2).
 //!
 //! Three mechanisms appear in the evaluation:
 //!
@@ -13,60 +13,26 @@
 //!   Harvest back to Primary.
 
 use hh_sim::{Cycles, Rng64};
-use serde::{Deserialize, Serialize};
 
-/// Latency parameters for the three flush mechanisms.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FlushModel {
-    /// Lower bound of the software `wbinvd`+fence latency.
-    pub sw_min: Cycles,
-    /// Upper bound of the software `wbinvd`+fence latency.
-    pub sw_max: Cycles,
-    /// Hardware-accelerated full flush (the `+Flush` step).
-    pub hw_full: Cycles,
-    /// Hardware harvest-region flush (Table 1: 1000 cycles).
-    pub hw_region: Cycles,
-}
+/// Lower bound of the software `wbinvd`+fence latency.
+pub const SOFTWARE_MIN: Cycles = Cycles::from_us(300.0);
 
-impl FlushModel {
-    /// Paper defaults.
-    pub fn paper() -> Self {
-        FlushModel {
-            sw_min: Cycles::from_us(300.0),
-            sw_max: Cycles::from_us(500.0),
-            hw_full: Cycles::from_us(3.0),
-            hw_region: Cycles::new(1000),
-        }
-    }
+/// Upper bound of the software `wbinvd`+fence latency.
+pub const SOFTWARE_MAX: Cycles = Cycles::from_us(500.0);
 
-    /// Samples one software `wbinvd`+fence flush latency.
-    pub fn software(&self, rng: &mut Rng64) -> Cycles {
-        let lo = self.sw_min.as_u64();
-        let hi = self.sw_max.as_u64();
-        if hi <= lo {
-            return self.sw_min;
-        }
-        Cycles::new(rng.range(lo, hi + 1))
-    }
+/// Hardware-accelerated full-hierarchy flush (the `+Flush` step).
+pub const HARDWARE_FULL: Cycles = Cycles::from_us(3.0);
 
-    /// Hardware full-hierarchy flush latency.
-    pub fn hardware_full(&self) -> Cycles {
-        self.hw_full
-    }
+/// Hardware harvest-region flush (Table 1: 1000 cycles). This is also the
+/// fixed side-channel-free delay before a Harvest VM may begin executing
+/// after a Primary→Harvest transition (Section 4.2.1: execution is
+/// deferred by the *longest possible* flush duration).
+pub const HARDWARE_REGION: Cycles = Cycles::new(1000);
 
-    /// Hardware harvest-region flush latency. This is also the fixed
-    /// side-channel-free delay before a Harvest VM may begin executing
-    /// after a Primary→Harvest transition (Section 4.2.1: execution is
-    /// deferred by the *longest possible* flush duration).
-    pub fn hardware_region(&self) -> Cycles {
-        self.hw_region
-    }
-}
-
-impl Default for FlushModel {
-    fn default() -> Self {
-        Self::paper()
-    }
+/// Samples one software `wbinvd`+fence flush latency, uniform over
+/// [`SOFTWARE_MIN`]`..=`[`SOFTWARE_MAX`].
+pub fn software(rng: &mut Rng64) -> Cycles {
+    Cycles::new(rng.range(SOFTWARE_MIN.as_u64(), SOFTWARE_MAX.as_u64() + 1))
 }
 
 #[cfg(test)]
@@ -75,34 +41,21 @@ mod tests {
 
     #[test]
     fn software_flush_within_bounds() {
-        let m = FlushModel::paper();
         let mut rng = Rng64::new(1);
         for _ in 0..1000 {
-            let f = m.software(&mut rng);
-            assert!(f >= m.sw_min && f <= m.sw_max, "{f}");
+            let f = software(&mut rng);
+            assert!((SOFTWARE_MIN..=SOFTWARE_MAX).contains(&f), "{f}");
         }
     }
 
     #[test]
     fn region_flush_is_1000_cycles() {
-        assert_eq!(FlushModel::paper().hardware_region(), Cycles::new(1000));
+        assert_eq!(HARDWARE_REGION, Cycles::new(1000));
     }
 
     #[test]
     fn hardware_flush_is_orders_faster_than_software() {
-        let m = FlushModel::paper();
-        assert!(m.hardware_full().as_us() * 50.0 < m.sw_min.as_us());
-        assert!(m.hardware_region() < m.hardware_full());
-    }
-
-    #[test]
-    fn degenerate_bounds_return_min() {
-        let m = FlushModel {
-            sw_min: Cycles::new(100),
-            sw_max: Cycles::new(100),
-            ..FlushModel::paper()
-        };
-        let mut rng = Rng64::new(2);
-        assert_eq!(m.software(&mut rng), Cycles::new(100));
+        assert!(HARDWARE_FULL.as_us() * 50.0 < SOFTWARE_MIN.as_us());
+        assert!(HARDWARE_REGION < HARDWARE_FULL);
     }
 }

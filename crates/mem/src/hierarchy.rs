@@ -3,7 +3,9 @@
 use hh_sim::{Cycles, VmId};
 use serde::{Deserialize, Serialize};
 
-use crate::{Access, CacheStats, Dram, HierarchyConfig, PolicyKind, SetAssocCache, WayMask};
+use crate::{
+    Access, CacheStats, Dram, HierarchyConfig, PolicyKind, SetAssocCache, WayMask, LLC_HIT_CYCLES,
+};
 
 /// What the executing context is allowed to see in the private structures.
 ///
@@ -411,7 +413,7 @@ impl CoreMem {
                 // first win one of the outstanding-miss slots.
                 let mut mshr_wait = 0u64;
                 let llc_hit = llc.access(line, acc.vm, shared, write);
-                let mut miss_latency = self.config.llc.hit_cycles;
+                let mut miss_latency = LLC_HIT_CYCLES;
                 if !llc_hit {
                     miss_latency += dram.access_weighted(now, line, self.dram_weight).as_u64();
                     dram_hit = true;

@@ -11,7 +11,7 @@
 //! * [`CoreMem`] — a core's private L1I/L1D/L2 caches and L1/L2 TLBs wired to
 //!   a CAT-partitioned shared LLC ([`Llc`]) and a banked DRAM model
 //!   ([`Dram`]), producing per-access stall-cycle costs;
-//! * [`flush`] — the latency models for software `wbinvd`-style flushes and
+//! * [`flush`] — the latencies of software `wbinvd`-style flushes and
 //!   HardHarvest's 1000-cycle in-hardware harvest-region flush.
 //!
 //! The access-by-access fidelity is what makes cold-restart costs, partition
@@ -34,9 +34,8 @@ mod waymask;
 pub use access::{Access, AccessKind, PageClass};
 pub use belady::BeladyCache;
 pub use cache::{AccessOutcome, CacheOp, CacheStats, SetAssocCache, WayState};
-pub use config::{CacheConfig, HierarchyConfig, LlcConfig, TlbConfig};
+pub use config::{CacheConfig, HierarchyConfig, LlcConfig, TlbConfig, LLC_HIT_CYCLES};
 pub use dram::{Dram, DramConfig};
-pub use flush::FlushModel;
 pub use hierarchy::{AccessCost, CoreMem, FlushStats, Llc, VisSplit, Visibility};
 pub use policy::PolicyKind;
 pub use waymask::WayMask;

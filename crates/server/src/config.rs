@@ -1,8 +1,8 @@
 //! System specification: the five evaluated architectures, the ablation
-//! knobs, and all latency models.
+//! knobs, and the reassignment latencies.
 
 use hh_hwqueue::ControllerConfig;
-use hh_mem::{FlushModel, HierarchyConfig, LlcConfig, PolicyKind};
+use hh_mem::{HierarchyConfig, LlcConfig, PolicyKind};
 use hh_sim::Cycles;
 use hh_workload::{BatchCatalog, CatalogKind};
 use serde::{Deserialize, Serialize};
@@ -76,61 +76,37 @@ pub enum SwReassign {
     Optimized,
 }
 
-/// All latency constants of the reassignment paths.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LatencyModel {
-    /// KVM detach+attach hypervisor calls.
-    pub kvm_detach_attach: Cycles,
-    /// KVM VM-context load.
-    pub kvm_ctxt: Cycles,
-    /// SmartHarvest optimized detach+attach.
-    pub opt_detach_attach: Cycles,
-    /// SmartHarvest optimized context load.
-    pub opt_ctxt: Cycles,
-    /// Hardware QM-mediated reassignment (no hypervisor): "a few µs".
-    pub hw_reassign: Cycles,
-    /// Hardware context switch (µManycore-style): "a few 10s of ns".
-    pub hw_ctxt: Cycles,
-    /// Software request-dispatch overhead (thread wake + queue pop).
-    pub sw_dispatch: Cycles,
-    /// Median extra delay before a polling core notices ready work and the
-    /// software scheduler dispatches it (no hardware scheduler). Sampled
-    /// lognormally — the tail of software wake-ups is long.
-    pub poll_mean: Cycles,
-    /// Extra per-dequeue cost of a memory-mapped queue vs the SRAM queue
-    /// (lock + coherence misses).
-    pub mm_queue: Cycles,
-    /// Software harvesting-agent monitoring period.
-    pub agent_tick: Cycles,
-    /// Emergency-buffer attach cost (SmartHarvest keeps standby cores that
-    /// can be handed to a Primary VM quickly).
-    pub buffer_attach: Cycles,
-}
+// Latencies of the reassignment and dispatch paths, calibrated to the
+// paper (Sections 3 and 4.1.1). The flush latencies live in
+// `hh_mem::flush`.
 
-impl LatencyModel {
-    /// Paper-calibrated defaults (Sections 3 and 4.1.1).
-    pub fn paper() -> Self {
-        LatencyModel {
-            kvm_detach_attach: Cycles::from_ms(2.5),
-            kvm_ctxt: Cycles::from_ms(2.5),
-            opt_detach_attach: Cycles::from_us(100.0),
-            opt_ctxt: Cycles::from_us(100.0),
-            hw_reassign: Cycles::from_us(2.0),
-            hw_ctxt: Cycles::from_ns(50.0),
-            sw_dispatch: Cycles::from_ns(600.0),
-            poll_mean: Cycles::from_us(18.0),
-            mm_queue: Cycles::from_ns(500.0),
-            agent_tick: Cycles::from_us(500.0),
-            buffer_attach: Cycles::from_us(30.0),
-        }
-    }
-}
-
-impl Default for LatencyModel {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
+/// KVM detach+attach hypervisor calls (with [`KVM_CTXT`], Section 3's
+/// "moving a core across VMs takes ~5 ms").
+pub(crate) const KVM_DETACH_ATTACH: Cycles = Cycles::from_ms(2.5);
+/// KVM VM-context load.
+pub(crate) const KVM_CTXT: Cycles = Cycles::from_ms(2.5);
+/// SmartHarvest optimized detach+attach.
+pub(crate) const OPT_DETACH_ATTACH: Cycles = Cycles::from_us(100.0);
+/// SmartHarvest optimized context load.
+pub(crate) const OPT_CTXT: Cycles = Cycles::from_us(100.0);
+/// Hardware QM-mediated reassignment (no hypervisor): "a few µs".
+pub(crate) const HW_REASSIGN: Cycles = Cycles::from_us(2.0);
+/// Hardware context switch (µManycore-style): "a few 10s of ns".
+pub(crate) const HW_CTXT: Cycles = Cycles::from_ns(50.0);
+/// Software request-dispatch overhead (thread wake + queue pop).
+pub(crate) const SW_DISPATCH: Cycles = Cycles::from_ns(600.0);
+/// Median extra delay before a polling core notices ready work and the
+/// software scheduler dispatches it (no hardware scheduler). Sampled
+/// lognormally — the tail of software wake-ups is long.
+pub(crate) const POLL_MEDIAN: Cycles = Cycles::from_us(18.0);
+/// Extra per-dequeue cost of a memory-mapped queue vs the SRAM queue
+/// (lock + coherence misses).
+pub(crate) const MM_QUEUE: Cycles = Cycles::from_ns(500.0);
+/// Software harvesting-agent monitoring period.
+pub(crate) const AGENT_TICK: Cycles = Cycles::from_us(500.0);
+/// Emergency-buffer attach cost (SmartHarvest keeps standby cores that
+/// can be handed to a Primary VM quickly).
+pub(crate) const BUFFER_ATTACH: Cycles = Cycles::from_us(30.0);
 
 /// A complete evaluated system.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -160,10 +136,6 @@ pub struct SystemSpec {
     /// software harvesting is similarly conservative. Hardware harvesting
     /// has no such cap (`usize::MAX`).
     pub max_loaned_per_vm: usize,
-    /// Steal/reclaim on every idle/ready event even without the hardware
-    /// scheduler (the Figures 4/5 characterization scripts move cores per
-    /// event, paying full software costs each time).
-    pub eager_steal: bool,
 }
 
 impl SystemSpec {
@@ -183,7 +155,6 @@ impl SystemSpec {
             // software reassignment in the tail.
             buffer_cores: 2,
             max_loaned_per_vm: usize::MAX,
-            eager_steal: true,
         }
     }
 
@@ -344,8 +315,6 @@ pub struct ServerConfig {
     pub primary_vms: usize,
     /// Cores per Primary VM (4 — the most common Alibaba instance size).
     pub cores_per_primary: usize,
-    /// The Harvest VM's base core allocation (4).
-    pub harvest_base_cores: usize,
     /// Private-hierarchy geometry.
     pub hierarchy: HierarchyConfig,
     /// Shared LLC geometry.
@@ -353,10 +322,6 @@ pub struct ServerConfig {
     /// Fraction of private-structure ways in the harvest region (Table 1:
     /// 50 %).
     pub harvest_frac: f64,
-    /// Flush latency models.
-    pub flush: FlushModel,
-    /// Reassignment latency models.
-    pub latency: LatencyModel,
     /// Average offered load per Primary VM in requests/second (the paper
     /// drives 65–250 RPS per core on 4-core VMs).
     pub rps_per_vm: f64,
@@ -392,12 +357,9 @@ impl ServerConfig {
             cores: 36,
             primary_vms: 8,
             cores_per_primary: 4,
-            harvest_base_cores: 4,
             hierarchy: HierarchyConfig::table1(),
             llc: LlcConfig::table1(),
             harvest_frac: 0.5,
-            flush: FlushModel::paper(),
-            latency: LatencyModel::paper(),
             rps_per_vm: 800.0, // 200 RPS/core, inside the paper's 65-250
             requests_per_vm: 1000,
             batch_job: 0,
@@ -430,13 +392,14 @@ impl ServerConfig {
     /// model, so a config that would fail mid-run fails here instead.
     ///
     /// # Panics
-    /// Panics with a message naming the field if VMs need more cores than
-    /// the server has, a VM would get no cores, the controller cannot give
-    /// every VM a QM and a request-queue chunk, `batch_job` is not a batch
-    /// catalog index, MSHR modeling asks for zero MSHRs, `capacity_frac` or
-    /// `eviction_candidate_frac` is outside `(0, 1]`, `batch_stall_scale`
-    /// is below 1, `harvest_frac` is outside `(0, 1)`, `rps_per_vm` is not
-    /// finite and positive, or `requests_per_vm` is zero.
+    /// Panics with a message naming the field if the Primary VMs leave the
+    /// Harvest VM no core, a Primary VM would get no cores, the controller
+    /// cannot give every VM a QM and a request-queue chunk, `batch_job` is
+    /// not a batch catalog index, MSHR modeling asks for zero MSHRs,
+    /// `capacity_frac` or `eviction_candidate_frac` is outside `(0, 1]`,
+    /// `batch_stall_scale` is below 1, `harvest_frac` is outside `(0, 1)`,
+    /// `rps_per_vm` is not finite and positive, or `requests_per_vm` is
+    /// zero.
     pub fn validate(&self) {
         assert!(self.primary_vms > 0, "primary_vms must be at least 1");
         assert!(
@@ -444,12 +407,8 @@ impl ServerConfig {
             "cores_per_primary must be at least 1"
         );
         assert!(
-            self.primary_cores() + self.harvest_base_cores <= self.cores,
-            "VMs oversubscribe the server"
-        );
-        assert!(
             self.primary_cores() < self.cores,
-            "the Harvest VM needs at least one core"
+            "Primary VMs oversubscribe the server: the Harvest VM needs at least one core"
         );
         // One QM per VM (Primary VMs plus the Harvest VM), each owning at
         // least one chunk; chunk ids are 5 bits wide.
@@ -622,10 +581,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "the Harvest VM needs at least one core")]
     fn harvest_vm_without_cores_is_rejected() {
-        rejects(|c| {
-            c.harvest_base_cores = 0;
-            c.cores = c.primary_cores();
-        });
+        rejects(|c| c.cores = c.primary_cores());
     }
 
     #[test]
@@ -633,7 +589,7 @@ mod tests {
     fn more_vms_than_qms_are_rejected() {
         rejects(|c| {
             c.primary_vms = 16;
-            c.cores = 16 * c.cores_per_primary + c.harvest_base_cores;
+            c.cores = 16 * c.cores_per_primary + 1;
         });
     }
 
@@ -735,12 +691,26 @@ mod tests {
 
     #[test]
     fn latency_model_matches_paper_anchors() {
-        let l = LatencyModel::paper();
+        use hh_mem::flush;
         // KVM total ≈ 5 ms; optimized ≈ 200 µs; hardware ≈ 2 µs; with
         // hardware context switching ≈ 50 ns.
-        assert!(((l.kvm_detach_attach + l.kvm_ctxt).as_ms() - 5.0).abs() < 0.01);
-        assert!(((l.opt_detach_attach + l.opt_ctxt).as_us() - 200.0).abs() < 0.1);
-        assert!((l.hw_reassign.as_us() - 2.0).abs() < 0.1);
-        assert!((l.hw_ctxt.as_ns() - 50.0).abs() < 2.0);
+        assert!(((KVM_DETACH_ATTACH + KVM_CTXT).as_ms() - 5.0).abs() < 0.01);
+        assert!(((OPT_DETACH_ATTACH + OPT_CTXT).as_us() - 200.0).abs() < 0.1);
+        assert!((HW_REASSIGN.as_us() - 2.0).abs() < 0.1);
+        assert!((HW_CTXT.as_ns() - 50.0).abs() < 2.0);
+        // wbinvd 300–500 µs; hardware full flush 3 µs; region flush 1000
+        // cycles (Table 1).
+        assert!((flush::SOFTWARE_MIN.as_us() - 300.0).abs() < 0.1);
+        assert!((flush::SOFTWARE_MAX.as_us() - 500.0).abs() < 0.1);
+        assert!((flush::HARDWARE_FULL.as_us() - 3.0).abs() < 0.1);
+        assert_eq!(flush::HARDWARE_REGION, Cycles::new(1000));
+        // A constant evaluated at compile time equals the same conversion
+        // at run time, so the constants reproduce the tables exactly.
+        let rt = std::hint::black_box;
+        assert_eq!(KVM_CTXT, Cycles::from_ms(rt(2.5)));
+        assert_eq!(OPT_CTXT, Cycles::from_us(rt(100.0)));
+        assert_eq!(HW_CTXT, Cycles::from_ns(rt(50.0)));
+        assert_eq!(POLL_MEDIAN, Cycles::from_us(rt(18.0)));
+        assert_eq!(flush::SOFTWARE_MAX, Cycles::from_us(rt(500.0)));
     }
 }

@@ -11,7 +11,7 @@
 //! Cache, TLB, flush and cold-restart effects come from the access-level
 //! [`hh_mem`] hierarchy simulation; queueing and notification from the
 //! [`hh_hwqueue`] controller; reassignment and context-switch latencies
-//! from the calibrated [`LatencyModel`].
+//! from paper-calibrated constants (Sections 3 and 4.1.1).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -20,6 +20,6 @@ mod config;
 mod metrics;
 mod sim;
 
-pub use config::{HarvestMode, LatencyModel, OptFlags, ServerConfig, SwReassign, SystemSpec};
+pub use config::{HarvestMode, OptFlags, ServerConfig, SwReassign, SystemSpec};
 pub use metrics::{ServerMetrics, ServiceMetrics};
 pub use sim::ServerSim;

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use hh_hwqueue::{Controller, ControllerConfig, EnqueueOutcome, VmKind};
-use hh_mem::{CoreMem, Dram, Llc, PolicyKind, Visibility};
+use hh_mem::{flush, CoreMem, Dram, Llc, PolicyKind, Visibility};
 use hh_noc::{ControlTree, Mesh2D};
 use hh_sim::invariant::{invariant, InvariantSet, InvariantViolation};
 use hh_sim::{CoreId, Cycles, EventQueue, Rng64, VmId};
@@ -11,6 +11,10 @@ use hh_trace::{trace_event, trace_gauge, trace_hist};
 use hh_trace::{FlushScope, ReassignKind, TraceEvent, TraceSession, NO_INDEX};
 use hh_workload::{BatchCatalog, BatchJob, LoadGen, RequestPlan, ServiceCatalog, ServiceId};
 
+use crate::config::{
+    AGENT_TICK, BUFFER_ATTACH, HW_CTXT, HW_REASSIGN, KVM_CTXT, KVM_DETACH_ATTACH, MM_QUEUE,
+    OPT_CTXT, OPT_DETACH_ATTACH, POLL_MEDIAN, SW_DISPATCH,
+};
 use crate::{HarvestMode, ServerConfig, ServerMetrics, SwReassign};
 
 /// Minimum EWMA block duration (µs) for [`HarvestMode::Adaptive`] to keep
@@ -186,9 +190,9 @@ impl ServerSim {
         let mut cores = Vec::with_capacity(cfg.cores);
         let mut mems = Vec::with_capacity(cfg.cores);
         for i in 0..cfg.cores {
-            // Core-to-VM binding: first 4 per primary VM, then harvest base
-            // cores; leftovers bind to the harvest VM too (they are the
-            // "unallocated" cores harvest VMs may always use).
+            // Core-to-VM binding: `cores_per_primary` per Primary VM; every
+            // remaining core binds to the Harvest VM (its base allocation,
+            // `cores - primary_cores()`).
             let bound = if i < n_primary * cfg.cores_per_primary {
                 i / cfg.cores_per_primary
             } else {
@@ -330,7 +334,7 @@ impl ServerSim {
         let uses_agent =
             !full_hw && (self.cfg.system.mode.enabled() || self.cfg.system.buffer_cores > 0);
         if uses_agent {
-            self.events.push(self.cfg.latency.agent_tick, Ev::AgentTick);
+            self.events.push(AGENT_TICK, Ev::AgentTick);
         }
 
         // Pure runaway backstop: real runs use a few million events; only a
@@ -620,13 +624,10 @@ impl ServerSim {
     /// Tries to place ready requests of `vm` on cores: idle bound cores
     /// first, then the emergency buffer, then reclamation of loaned cores.
     ///
-    /// With the hardware scheduler, buffer/reclaim paths fire instantly on
-    /// any readiness event (the QM raises the interrupt itself). Without
-    /// it, a starved VM must wait for the software agent's next decision
-    /// point (`allow_reclaim` is only true from tick-driven sweeps and
-    /// unit-boundary checks) — the detection latency that makes software
-    /// harvesting so painful for sub-millisecond requests.
-    fn try_serve_with(&mut self, vm: usize, allow_reclaim: bool) {
+    /// Every system takes all three paths on any readiness event (arrival,
+    /// I/O completion, agent sweep). Software systems pay for it in the
+    /// reassignment latencies, not in a delayed decision.
+    fn try_serve(&mut self, vm: usize) {
         let mut guard = 0u32;
         loop {
             guard += 1;
@@ -643,9 +644,6 @@ impl ServerSim {
                     .expect("has_ready");
                 self.dispatch(core, vm, token, Cycles::ZERO, Cycles::ZERO);
                 continue;
-            }
-            if !allow_reclaim && !self.cfg.system.opts.hw_sched && !self.cfg.system.eager_steal {
-                return;
             }
             // 2. Emergency buffer (software harvesting): standby cores can
             // serve any starved Primary VM immediately.
@@ -679,11 +677,6 @@ impl ServerSim {
             }
             return;
         }
-    }
-
-    /// Event-driven placement attempt (arrival / I/O completion).
-    fn try_serve(&mut self, vm: usize) {
-        self.try_serve_with(vm, false);
     }
 
     fn find_idle_core(&self, vm: usize) -> Option<usize> {
@@ -725,7 +718,6 @@ impl ServerSim {
     /// Per-dispatch overhead: discovery (polling unless the hardware
     /// scheduler notifies), queue access, and request-context load.
     fn dispatch_overhead(&mut self, core: usize, vm: usize) -> Cycles {
-        let l = &self.cfg.latency;
         let o = &self.cfg.system.opts;
         let mut cost = Cycles::ZERO;
         if o.hw_sched {
@@ -735,7 +727,7 @@ impl ServerSim {
             // a few µs but the tail is long (run-queue delays, preempted
             // pollers) — lognormal, like measured Linux wake-up latencies.
             let delay_ns =
-                hh_sim::LogNormal::with_median(l.poll_mean.as_ns(), 1.3).sample(&mut self.rng);
+                hh_sim::LogNormal::with_median(POLL_MEDIAN.as_ns(), 1.3).sample(&mut self.rng);
             cost += Cycles::from_ns(delay_ns);
         }
         if o.hw_queue {
@@ -746,15 +738,14 @@ impl ServerSim {
             // all fight over the same lines, Section 4.1.6).
             let depth = self.ctrl.qm(VmId::from(vm)).queue().ready_len() as u64;
             let contention = 1 + depth.min(40) / 4;
-            cost +=
-                l.mm_queue * contention + Cycles::new(self.rng.below(l.mm_queue.as_u64().max(1)));
+            cost += MM_QUEUE * contention + Cycles::new(self.rng.below(MM_QUEUE.as_u64()));
         }
         cost += if o.hw_ctxtsw {
             // Hardware save/restore via the Request Context Memory on the
             // regular NoC (Section 4.1.8).
-            l.hw_ctxt + self.mesh.latency_to_center(CoreId::from(core)) * 2
+            HW_CTXT + self.mesh.latency_to_center(CoreId::from(core)) * 2
         } else {
-            l.sw_dispatch
+            SW_DISPATCH
         };
         cost
     }
@@ -944,9 +935,9 @@ impl ServerSim {
             }
             return;
         }
-        // Hardware harvesting: steal immediately when the QM forwards the
-        // spinning core to the Harvest VM (Figure 8(b)). Software systems
-        // wait for the agent tick.
+        // Steal as soon as the core idles: the QM forwards the spinning
+        // core to the Harvest VM (Figure 8(b)), and the software agent
+        // likewise moves cores per idle event.
         let stealable = match self.cfg.system.mode {
             HarvestMode::Disabled => false,
             HarvestMode::OnTermination => reason == IdleReason::Termination,
@@ -958,10 +949,7 @@ impl ServerSim {
                     || self.ewma_block_us[bound] >= ADAPTIVE_BLOCK_THRESHOLD_US
             }
         };
-        if stealable
-            && (self.cfg.system.opts.hw_sched || self.cfg.system.eager_steal)
-            && self.away_count(bound) < self.allowed_away(bound)
-        {
+        if stealable && self.away_count(bound) < self.allowed_away(bound) {
             self.lend_to_harvest(core);
         }
     }
@@ -976,10 +964,9 @@ impl ServerSim {
         if self.cfg.system.opts.hw_sched || !self.cfg.system.reassign_enabled {
             return;
         }
-        let l = self.cfg.latency;
         let pause = match self.cfg.system.sw_reassign {
-            SwReassign::Kvm => l.kvm_detach_attach,
-            SwReassign::Optimized => l.opt_detach_attach,
+            SwReassign::Kvm => KVM_DETACH_ATTACH,
+            SwReassign::Optimized => OPT_DETACH_ATTACH,
         };
         let until = self.now + pause;
         self.vm_paused_until[vm] = self.vm_paused_until[vm].max(until);
@@ -1000,7 +987,6 @@ impl ServerSim {
     /// Latency decomposition of a cross-VM switch of `core`.
     fn switch_cost(&mut self, core: usize, to_harvest: bool) -> SwitchCost {
         let sys = self.cfg.system;
-        let l = self.cfg.latency;
         let mut cost = SwitchCost::default();
 
         if sys.reassign_enabled {
@@ -1016,19 +1002,19 @@ impl ServerSim {
                 )
             };
             let detach = if sys.opts.hw_sched {
-                l.hw_reassign
+                HW_REASSIGN
             } else {
                 match sys.sw_reassign {
-                    SwReassign::Kvm => sw_op(l.kvm_detach_attach, 0.3),
-                    SwReassign::Optimized => sw_op(l.opt_detach_attach, 1.1),
+                    SwReassign::Kvm => sw_op(KVM_DETACH_ATTACH, 0.3),
+                    SwReassign::Optimized => sw_op(OPT_DETACH_ATTACH, 1.1),
                 }
             };
             let ctxt = if sys.opts.hw_ctxtsw {
-                l.hw_ctxt + self.mesh.latency_to_center(CoreId::from(core)) * 2
+                HW_CTXT + self.mesh.latency_to_center(CoreId::from(core)) * 2
             } else {
                 match sys.sw_reassign {
-                    SwReassign::Kvm => sw_op(l.kvm_ctxt, 0.3),
-                    SwReassign::Optimized => sw_op(l.opt_ctxt, 1.1),
+                    SwReassign::Kvm => sw_op(KVM_CTXT, 0.3),
+                    SwReassign::Optimized => sw_op(OPT_CTXT, 1.1),
                 }
             };
             let queue_behind_agent = self.agent_serialize(detach);
@@ -1039,10 +1025,10 @@ impl ServerSim {
         if sys.flush_enabled {
             if sys.opts.partition {
                 let f = if sys.opts.fast_flush {
-                    self.cfg.flush.hardware_region()
+                    flush::HARDWARE_REGION
                 } else {
                     // Software region flush: proportional share of wbinvd.
-                    let full = self.cfg.flush.software(&mut self.rng);
+                    let full = flush::software(&mut self.rng);
                     Cycles::new((full.as_u64() as f64 * self.cfg.harvest_frac) as u64)
                 };
                 let dropped = self.mems[core].flush_harvest_region();
@@ -1059,9 +1045,9 @@ impl ServerSim {
                 }
             } else {
                 let f = if sys.opts.fast_flush {
-                    self.cfg.flush.hardware_full()
+                    flush::HARDWARE_FULL
                 } else {
-                    self.cfg.flush.software(&mut self.rng)
+                    flush::software(&mut self.rng)
                 };
                 let dropped = self.mems[core].flush_all();
                 self.note_flush(core, FlushScope::Full, f, false, dropped);
@@ -1133,14 +1119,13 @@ impl ServerSim {
     /// fast path). Buffer cores were flushed when they joined, so no flush
     /// is needed — only the attach and context load.
     fn attach_buffer_core(&mut self, core: usize, vm: usize, token: u64) {
-        let l = self.cfg.latency;
-        let queue_behind_agent = self.agent_serialize(l.buffer_attach);
+        let queue_behind_agent = self.agent_serialize(BUFFER_ATTACH);
         let block = queue_behind_agent
-            + l.buffer_attach
+            + BUFFER_ATTACH
             + if self.cfg.system.opts.hw_ctxtsw {
-                l.hw_ctxt
+                HW_CTXT
             } else {
-                l.opt_ctxt
+                OPT_CTXT
             };
         self.metrics.reassignments += 1;
         self.note_reassign(core, ReassignKind::BufferAttach, block);
@@ -1176,9 +1161,8 @@ impl ServerSim {
                 .qm_mut(VmId::from(owner_vm))
                 .reclaim_core(CoreId::from(core));
         }
-        let l = self.cfg.latency;
-        let flush = self.cfg.flush.software(&mut self.rng);
-        let block = l.opt_detach_attach + flush;
+        let flush = flush::software(&mut self.rng);
+        let block = OPT_DETACH_ATTACH + flush;
         let dropped = self.mems[core].flush_all();
         self.note_flush(core, FlushScope::Full, flush, false, dropped);
         self.note_reassign(core, ReassignKind::ReturnToBuffer, block);
@@ -1339,7 +1323,6 @@ impl ServerSim {
         if self.completed >= self.total_requests {
             return;
         }
-        let harvest = self.harvest_vm();
         // Update per-VM demand prediction: a decaying *peak* of concurrent
         // busy cores. SmartHarvest predicts near-future demand; predicting
         // the recent peak (not the mean) is what keeps typical requests
@@ -1405,21 +1388,18 @@ impl ServerSim {
                 }
             }
         }
-        let _ = harvest;
         // The tick also acts as the software scheduler's safety net: any
         // VM with work that slipped through event-driven serving gets
         // another placement attempt.
         self.sweep_ready_vms();
-        self.events
-            .push(self.now + self.cfg.latency.agent_tick, Ev::AgentTick);
+        self.events.push(self.now + AGENT_TICK, Ev::AgentTick);
     }
 
-    /// Placement retry for every Primary VM with ready work, with the
-    /// agent's authority to reclaim/attach cores.
+    /// Placement retry for every Primary VM with ready work.
     fn sweep_ready_vms(&mut self) {
         for vm in 0..self.cfg.primary_vms {
             if self.ctrl.qm(VmId::from(vm)).has_ready() {
-                self.try_serve_with(vm, true);
+                self.try_serve(vm);
             }
         }
     }
@@ -1683,22 +1663,6 @@ mod tests {
             block.reassignments
         );
         assert_eq!(adaptive.completed(), 240);
-    }
-
-    #[test]
-    fn eager_steal_multiplies_software_reassignments() {
-        // The software baselines steal per idle event (eager); a variant
-        // that only steals at agent ticks moves cores far less often.
-        let mut lazy = SystemSpec::harvest_block();
-        lazy.eager_steal = false;
-        let lazy = run_small(lazy, 10);
-        let eager = run_small(SystemSpec::harvest_block(), 10);
-        assert!(
-            eager.reassignments > lazy.reassignments,
-            "eager {} <= lazy {}",
-            eager.reassignments,
-            lazy.reassignments
-        );
     }
 
     #[test]

@@ -51,25 +51,25 @@ impl Cycles {
 
     /// Builds a duration from nanoseconds of wall-clock time.
     #[inline]
-    pub fn from_ns(ns: f64) -> Self {
+    pub const fn from_ns(ns: f64) -> Self {
         Cycles((ns * CLOCK_GHZ).round() as u64)
     }
 
     /// Builds a duration from microseconds of wall-clock time.
     #[inline]
-    pub fn from_us(us: f64) -> Self {
+    pub const fn from_us(us: f64) -> Self {
         Self::from_ns(us * 1e3)
     }
 
     /// Builds a duration from milliseconds of wall-clock time.
     #[inline]
-    pub fn from_ms(ms: f64) -> Self {
+    pub const fn from_ms(ms: f64) -> Self {
         Self::from_ns(ms * 1e6)
     }
 
     /// Builds a duration from seconds of wall-clock time.
     #[inline]
-    pub fn from_secs(s: f64) -> Self {
+    pub const fn from_secs(s: f64) -> Self {
         Self::from_ns(s * 1e9)
     }
 

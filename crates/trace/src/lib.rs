@@ -17,11 +17,9 @@
 //!
 //! ## Cost model
 //!
-//! With the `trace` cargo feature off, [`COMPILED`] is `false` and every
-//! `trace_*!` macro expands to `if false { .. }` — dead code the optimizer
-//! deletes. With the feature on (the default) but tracing not enabled at
-//! runtime, each instrumented simulator holds `trace: None` and a call
-//! site costs exactly one branch. Runtime enablement is process-global:
+//! With tracing not enabled at runtime, each instrumented simulator holds
+//! `trace: None` and a call site costs exactly one branch; the event
+//! expression is never evaluated. Runtime enablement is process-global:
 //! set `HH_TRACE=<path>` (see [`init_from_env`]) or call [`set_enabled`].
 //!
 //! ## Determinism
@@ -49,25 +47,20 @@ use hh_sim::Cycles;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// True when the crate was built with the `trace` feature. Referenced as
-/// `$crate::COMPILED` inside the macros so the check is resolved against
-/// *this* crate's features, not the caller's.
-pub const COMPILED: bool = cfg!(feature = "trace");
-
 /// Default per-session ring capacity (overridable via `HH_TRACE_CAP`).
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// True when tracing is compiled in *and* enabled at runtime.
+/// True when tracing is enabled at runtime.
 #[inline]
 pub fn enabled() -> bool {
-    COMPILED && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns runtime tracing on or off (no-op without the `trace` feature).
+/// Turns runtime tracing on or off.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on && COMPILED, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Reads `HH_TRACE`. When set (to an output path), enables tracing and
@@ -223,15 +216,13 @@ pub fn take_sessions() -> Vec<FinishedSession> {
 }
 
 /// Records a [`TraceEvent`] into an `Option<Box<TraceSession>>`-shaped
-/// slot. Free with the `trace` feature off; one branch when the slot is
-/// `None`. The event expression is only evaluated when recording.
+/// slot: one branch when the slot is `None`. The event expression is only
+/// evaluated when recording.
 #[macro_export]
 macro_rules! trace_event {
     ($slot:expr, $ev:expr) => {
-        if $crate::COMPILED {
-            if let Some(__s) = ($slot).as_mut() {
-                __s.record($ev);
-            }
+        if let Some(__s) = ($slot).as_mut() {
+            __s.record($ev);
         }
     };
 }
@@ -240,10 +231,8 @@ macro_rules! trace_event {
 #[macro_export]
 macro_rules! trace_count {
     ($slot:expr, $name:expr, $add:expr) => {
-        if $crate::COMPILED {
-            if let Some(__s) = ($slot).as_mut() {
-                __s.count($name, $add);
-            }
+        if let Some(__s) = ($slot).as_mut() {
+            __s.count($name, $add);
         }
     };
 }
@@ -253,10 +242,8 @@ macro_rules! trace_count {
 #[macro_export]
 macro_rules! trace_gauge {
     ($slot:expr, $name:expr, $index:expr, $now:expr, $value:expr) => {
-        if $crate::COMPILED {
-            if let Some(__s) = ($slot).as_mut() {
-                __s.gauge($name, $index, $now, $value);
-            }
+        if let Some(__s) = ($slot).as_mut() {
+            __s.gauge($name, $index, $now, $value);
         }
     };
 }
@@ -266,10 +253,8 @@ macro_rules! trace_gauge {
 #[macro_export]
 macro_rules! trace_hist {
     ($slot:expr, $name:expr, $value:expr) => {
-        if $crate::COMPILED {
-            if let Some(__s) = ($slot).as_mut() {
-                __s.hist($name, $value);
-            }
+        if let Some(__s) = ($slot).as_mut() {
+            __s.hist($name, $value);
         }
     };
 }
@@ -334,7 +319,7 @@ mod tests {
         set_enabled(false);
         assert!(!enabled());
         set_enabled(true);
-        assert_eq!(enabled(), COMPILED);
+        assert!(enabled());
         set_enabled(false);
     }
 
