@@ -137,6 +137,88 @@ impl Llc {
     }
 }
 
+/// One L2 miss recorded by a walk's private pass, completed by its LLC
+/// pass and replayed by its timing pass.
+#[derive(Debug, Clone, Copy)]
+struct Miss {
+    /// Summed rounded stall of the references since the previous miss.
+    gap: u64,
+    /// The missing line.
+    line: u64,
+    /// Latency before the MSHR and DRAM: address translation.
+    pre: u32,
+    /// The VM the reference belongs to.
+    vm: VmId,
+    /// `MISS_*` bits.
+    flags: u8,
+}
+
+/// The page-class `Shared` bit of a [`Miss`].
+const MISS_SHARED: u8 = 1 << 0;
+/// The reference was a store.
+const MISS_WRITE: u8 = 1 << 1;
+/// The reference was an instruction fetch (it stalls in full).
+const MISS_IFETCH: u8 = 1 << 2;
+/// The LLC held the line (set by the LLC pass).
+const MISS_LLC_HIT: u8 = 1 << 3;
+
+impl Miss {
+    fn is(&self, flag: u8) -> bool {
+        self.flags & flag != 0
+    }
+}
+
+/// What a walk's state pass leaves for its timing pass: one record per L2
+/// miss and the stall of the references after the last one.
+///
+/// The state pass is two passes: [`CoreMem::walk_private`] runs the
+/// references through the core's TLBs and caches and records the L2
+/// misses, then [`WalkTrace::walk_llc`] runs those misses through the LLC
+/// in order. Nothing the private pass does depends on what the LLC holds,
+/// so the two may run at different times, as long as each structure sees
+/// its accesses in issue order. [`CoreMem::walk_timing`] then turns the
+/// records into the walk's stall. Reusable across walks, so a caller that
+/// keeps one allocates only while its longest miss list grows.
+#[derive(Debug, Clone, Default)]
+pub struct WalkTrace {
+    misses: Vec<Miss>,
+    /// Summed rounded stall of the references after the last miss.
+    tail: u64,
+}
+
+impl WalkTrace {
+    /// The LLC pass of a walk: looks up every recorded L2 miss in `llc`,
+    /// in order, and records whether it hit. Prefetches the LLC sets of
+    /// the misses [`CoreMem::LOOKAHEAD`] records ahead.
+    pub fn walk_llc(&mut self, llc: &mut Llc) {
+        for i in 0..self.misses.len() {
+            if let Some(ahead) = self.misses.get(i + CoreMem::LOOKAHEAD) {
+                llc.prefetch(ahead.line);
+            }
+            let miss = &mut self.misses[i];
+            let shared = miss.is(MISS_SHARED);
+            let write = miss.is(MISS_WRITE);
+            if llc.access(miss.line, miss.vm, shared, write) {
+                miss.flags |= MISS_LLC_HIT;
+            }
+        }
+    }
+
+    /// Appends one reference's private-pass outcome.
+    #[inline]
+    fn push(&mut self, outcome: Result<u64, Miss>) {
+        match outcome {
+            Ok(stall) => self.tail += stall,
+            Err(miss) => {
+                self.misses.push(Miss {
+                    gap: std::mem::take(&mut self.tail),
+                    ..miss
+                });
+            }
+        }
+    }
+}
+
 /// A private structure of [`CoreMem`]; the discriminant indexes its
 /// allowed-mask table.
 #[derive(Debug, Clone, Copy)]
@@ -194,9 +276,9 @@ pub struct CoreMem {
 }
 
 impl CoreMem {
-    /// How many references [`CoreMem::walk`] generates ahead of the one it
-    /// runs. Picked by a sweep over 4, 8 and 16 on quick-scale servers (see
-    /// EXPERIMENTS.md).
+    /// How many references [`CoreMem::walk_private`] generates ahead of
+    /// the one it runs. Picked by a sweep over 4, 8 and 16 on quick-scale
+    /// servers (see EXPERIMENTS.md).
     pub const LOOKAHEAD: usize = 8;
 
     /// Creates a cold hierarchy.
@@ -273,19 +355,19 @@ impl CoreMem {
     }
 
     /// Runs a stream of references through the hierarchy in order, as
-    /// from `start`, and returns their summed stall.
+    /// from `start`, and returns their summed stall: the state pass
+    /// ([`CoreMem::walk_private`] and the LLC pass, see [`WalkTrace`])
+    /// followed by the timing pass ([`CoreMem::walk_timing`]) at the
+    /// weight set by [`CoreMem::set_dram_weight`]. The references may
+    /// belong to any VMs; their L2 misses go through [`Llc::access`].
     ///
     /// With MSHR modeling each reference issues when the previous ones'
     /// stalls have elapsed, so outstanding-miss and DRAM-bank occupancy
     /// follow the stream's real pacing; otherwise every reference issues
-    /// at `start`.
-    ///
-    /// The walk keeps the next [`CoreMem::LOOKAHEAD`] references in a ring
-    /// and prefetches every set block a reference can touch as it enters,
-    /// so the host-memory misses of upcoming references overlap the
-    /// current one. Prefetches change no state: the result, every
-    /// statistic and every replacement decision equal those of calling
-    /// [`CoreMem::access`] on each reference in turn.
+    /// at `start`. The result, every statistic and every replacement
+    /// decision equal those of calling [`CoreMem::access`] on each
+    /// reference in turn. Allocates its [`WalkTrace`]; a caller that walks
+    /// repeatedly keeps one and runs the three passes itself.
     pub fn walk(
         &mut self,
         start: Cycles,
@@ -294,44 +376,92 @@ impl CoreMem {
         llc: &mut Llc,
         dram: &mut Dram,
     ) -> Cycles {
-        let paced = self.mshr_busy.is_some();
+        let mut trace = WalkTrace::default();
+        self.walk_private(refs, vis, &mut trace);
+        trace.walk_llc(llc);
+        self.walk_timing(start, &trace, self.dram_weight, dram)
+    }
+
+    /// The private pass of a walk's state pass (see [`WalkTrace`]): every
+    /// TLB, L1 and L2 lookup with its replacement and statistics, in
+    /// stream order. It leaves in `out` the stall of every reference that
+    /// stops at the L2 and one record per L2 miss. It touches nothing but
+    /// this core's caches and TLBs, so walks of different cores may run
+    /// their private passes concurrently.
+    ///
+    /// The pass keeps the next [`CoreMem::LOOKAHEAD`] references in a ring
+    /// and prefetches every set block a reference can touch as it enters,
+    /// so the host-memory misses of upcoming references overlap the
+    /// current one. Prefetches change no state.
+    pub fn walk_private(
+        &mut self,
+        refs: impl IntoIterator<Item = Access>,
+        vis: Visibility,
+        out: &mut WalkTrace,
+    ) {
+        out.misses.clear();
+        out.tail = 0;
         let mut refs = refs.into_iter();
         let Some(first) = refs.next() else {
-            return Cycles::ZERO;
+            return;
         };
         // Fill the ring with up to `LOOKAHEAD` references, oldest at `head`.
         let mut ring = [first; Self::LOOKAHEAD];
         let mut len = 0;
         for acc in std::iter::once(first).chain(refs.by_ref().take(Self::LOOKAHEAD - 1)) {
-            self.prefetch(acc, llc);
+            self.prefetch(acc);
             ring[len] = acc;
             len += 1;
         }
-        let mut total = Cycles::ZERO;
         let mut head = 0;
         // While the stream lasts, each new reference takes the slot of the
         // oldest, which then runs. A short stream never fills the ring, and
         // `refs` is not read past its end.
         if len == Self::LOOKAHEAD {
             for next in refs {
-                self.prefetch(next, llc);
+                self.prefetch(next);
                 let acc = std::mem::replace(&mut ring[head], next);
                 head = (head + 1) % Self::LOOKAHEAD;
-                let now = if paced { start + total } else { start };
-                total += self.access(now, acc, vis, llc, dram).stall;
+                out.push(self.state_one(acc, vis));
             }
         }
         // Drain the last `len` references, oldest first.
         for i in 0..len {
-            let acc = ring[(head + i) % Self::LOOKAHEAD];
-            let now = if paced { start + total } else { start };
-            total += self.access(now, acc, vis, llc, dram).stall;
+            out.push(self.state_one(ring[(head + i) % Self::LOOKAHEAD], vis));
         }
-        total
     }
 
-    /// Prefetches every set block `acc` can touch (see [`CoreMem::walk`]).
-    fn prefetch(&self, acc: Access, llc: &Llc) {
+    /// The timing pass of a walk issued at `start`: replays the L2 misses
+    /// the state pass recorded through the MSHR slots and `dram`, each
+    /// DRAM access standing in for `dram_weight` real ones (see
+    /// [`Dram::access_weighted`]), and returns the walk's summed stall.
+    /// With MSHR modeling a miss issues at `start` plus the stalls of
+    /// every earlier reference, exactly as in a reference-by-reference
+    /// walk.
+    pub fn walk_timing(
+        &mut self,
+        start: Cycles,
+        trace: &WalkTrace,
+        dram_weight: f64,
+        dram: &mut Dram,
+    ) -> Cycles {
+        let paced = self.mshr_busy.is_some();
+        let mut total = 0u64;
+        for miss in &trace.misses {
+            total += miss.gap;
+            let now = if paced {
+                start + Cycles::new(total)
+            } else {
+                start
+            };
+            total += self.miss_stall(now, miss, dram_weight, dram);
+        }
+        Cycles::new(total + trace.tail)
+    }
+
+    /// Prefetches every private set block `acc` can touch (see
+    /// [`CoreMem::walk_private`]).
+    fn prefetch(&self, acc: Access) {
         if self.infinite {
             return;
         }
@@ -344,7 +474,6 @@ impl CoreMem {
             self.l1d.prefetch(line);
         }
         self.l2.prefetch(line);
-        llc.prefetch(line);
     }
 
     /// Runs one reference through TLBs and caches; returns its stall cost.
@@ -356,16 +485,40 @@ impl CoreMem {
         llc: &mut Llc,
         dram: &mut Dram,
     ) -> AccessCost {
-        if self.infinite {
-            let (lat, factor) = if acc.kind.is_ifetch() {
-                (self.config.l1i.hit_cycles, 1.0)
-            } else {
-                (self.config.l1d.hit_cycles, self.config.data_stall_factor)
-            };
-            return AccessCost {
-                stall: Cycles::new((lat as f64 * factor).round() as u64),
+        match self.state_one(acc, vis) {
+            Ok(stall) => AccessCost {
+                stall: Cycles::new(stall),
                 dram: false,
+            },
+            Err(mut miss) => {
+                if llc.access(
+                    miss.line,
+                    miss.vm,
+                    miss.is(MISS_SHARED),
+                    miss.is(MISS_WRITE),
+                ) {
+                    miss.flags |= MISS_LLC_HIT;
+                }
+                AccessCost {
+                    stall: Cycles::new(self.miss_stall(now, &miss, self.dram_weight, dram)),
+                    dram: !miss.is(MISS_LLC_HIT),
+                }
+            }
+        }
+    }
+
+    /// The private pass of one reference: its rounded stall when it stops
+    /// at the L2, else the record of its L2 miss (with a zero gap).
+    #[inline]
+    fn state_one(&mut self, acc: Access, vis: Visibility) -> Result<u64, Miss> {
+        let ifetch = acc.kind.is_ifetch();
+        if self.infinite {
+            let lat = if ifetch {
+                self.config.l1i.hit_cycles
+            } else {
+                self.config.l1d.hit_cycles
             };
+            return Ok(self.round_stall(lat, ifetch));
         }
 
         let shared = acc.class.is_shared();
@@ -387,61 +540,74 @@ impl CoreMem {
 
         // Cache lookup.
         let line = acc.line();
-        let mut dram_hit = false;
-        let (l1, l1_cfg, l1_allowed) = if acc.kind.is_ifetch() {
+        let (l1, l1_cfg, l1_allowed) = if ifetch {
             (&mut self.l1i, &self.config.l1i, allowed(Structure::L1i))
         } else {
             (&mut self.l1d, &self.config.l1d, allowed(Structure::L1d))
         };
         let write = acc.kind.is_write();
         if l1.access(line, shared, l1_allowed, write).hit {
-            latency += l1_cfg.hit_cycles;
-        } else {
-            let l2_allowed = allowed(Structure::L2);
-            let l2_hit = self.l2.access(line, shared, l2_allowed, write).hit;
-            let harvest = vis == Visibility::Harvest;
-            match (harvest, l2_hit) {
-                (false, true) => self.l2_split.primary_hits += 1,
-                (false, false) => self.l2_split.primary_misses += 1,
-                (true, true) => self.l2_split.harvest_hits += 1,
-                (true, false) => self.l2_split.harvest_misses += 1,
-            }
-            if l2_hit {
-                latency += self.config.l2.hit_cycles;
-            } else {
-                // Past the L2: when MSHR modeling is on, the miss must
-                // first win one of the outstanding-miss slots.
-                let mut mshr_wait = 0u64;
-                let llc_hit = llc.access(line, acc.vm, shared, write);
-                let mut miss_latency = LLC_HIT_CYCLES;
-                if !llc_hit {
-                    miss_latency += dram.access_weighted(now, line, self.dram_weight).as_u64();
-                    dram_hit = true;
-                }
-                if let Some(slots) = &mut self.mshr_busy {
-                    let idx = slots
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &t)| t)
-                        .map(|(i, _)| i)
-                        .expect("mshr slots non-empty");
-                    let start = now.max(slots[idx]);
-                    mshr_wait = (start - now).as_u64();
-                    slots[idx] = start + Cycles::new(miss_latency);
-                }
-                latency += mshr_wait + miss_latency;
-            }
+            return Ok(self.round_stall(latency + l1_cfg.hit_cycles, ifetch));
         }
+        let l2_allowed = allowed(Structure::L2);
+        let l2_hit = self.l2.access(line, shared, l2_allowed, write).hit;
+        let harvest = vis == Visibility::Harvest;
+        match (harvest, l2_hit) {
+            (false, true) => self.l2_split.primary_hits += 1,
+            (false, false) => self.l2_split.primary_misses += 1,
+            (true, true) => self.l2_split.harvest_hits += 1,
+            (true, false) => self.l2_split.harvest_misses += 1,
+        }
+        if l2_hit {
+            return Ok(self.round_stall(latency + self.config.l2.hit_cycles, ifetch));
+        }
+        let flags = if shared { MISS_SHARED } else { 0 }
+            | if write { MISS_WRITE } else { 0 }
+            | if ifetch { MISS_IFETCH } else { 0 };
+        Err(Miss {
+            gap: 0,
+            line,
+            // Address translation costs at most a page walk.
+            pre: latency as u32,
+            vm: acc.vm,
+            flags,
+        })
+    }
 
-        let stall = if acc.kind.is_ifetch() {
+    /// The timing of one L2 miss issued at `now`: when MSHR modeling is
+    /// on, the miss first waits for an outstanding-miss slot; past the
+    /// LLC it queues for its DRAM bank.
+    fn miss_stall(&mut self, now: Cycles, miss: &Miss, dram_weight: f64, dram: &mut Dram) -> u64 {
+        let mut miss_latency = LLC_HIT_CYCLES;
+        if !miss.is(MISS_LLC_HIT) {
+            miss_latency += dram.access_weighted(now, miss.line, dram_weight).as_u64();
+        }
+        let mut mshr_wait = 0u64;
+        if let Some(slots) = &mut self.mshr_busy {
+            let idx = slots
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, &t)| t)
+                .map(|(i, _)| i)
+                .expect("mshr slots non-empty");
+            let start = now.max(slots[idx]);
+            mshr_wait = (start - now).as_u64();
+            slots[idx] = start + Cycles::new(miss_latency);
+        }
+        let latency = u64::from(miss.pre) + mshr_wait + miss_latency;
+        self.round_stall(latency, miss.is(MISS_IFETCH))
+    }
+
+    /// The stall of a reference of `latency` cycles: in full for an
+    /// instruction fetch, discounted for memory-level parallelism for data.
+    #[inline]
+    fn round_stall(&self, latency: u64, ifetch: bool) -> u64 {
+        let stall = if ifetch {
             latency as f64
         } else {
             latency as f64 * self.config.data_stall_factor
         };
-        AccessCost {
-            stall: Cycles::new(stall.round() as u64),
-            dram: dram_hit,
-        }
+        stall.round() as u64
     }
 
     /// Flushes and invalidates every private structure (software-style
@@ -664,24 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn llc_partitions_isolate_vms() {
-        let llc = Llc::new(64, 16, &[4, 4]);
-        let m0 = llc.vm_mask(VmId(0));
-        let m1 = llc.vm_mask(VmId(1));
-        assert!(!m0.is_empty() && !m1.is_empty());
-        // Fill VM0's partition; VM1's accesses must not evict VM0 lines if
-        // partitions are disjoint (they are here: 8+8 of 16 ways).
-        assert!(!m0.intersects(m1));
-    }
-
-    #[test]
-    fn llc_ddio_deposit_makes_line_resident() {
-        let mut llc = Llc::new(64, 16, &[4]);
-        llc.ddio_deposit(0x99, VmId(0));
-        assert!(llc.access(0x99, VmId(0), false, false));
-    }
-
-    #[test]
     fn reset_stats_clears_counters() {
         let (mut core, mut llc, mut dram) = setup();
         let a = read(0, 0x1200);
@@ -777,6 +925,24 @@ mod tests {
         core.reset_stats();
         assert_eq!(core.flush_stats(), FlushStats::default());
         assert_eq!(core.l2_split(), VisSplit::default());
+    }
+
+    #[test]
+    fn llc_partitions_isolate_vms() {
+        let llc = Llc::new(64, 16, &[4, 4]);
+        let m0 = llc.vm_mask(VmId(0));
+        let m1 = llc.vm_mask(VmId(1));
+        assert!(!m0.is_empty() && !m1.is_empty());
+        // Fill VM0's partition; VM1's accesses must not evict VM0 lines if
+        // partitions are disjoint (they are here: 8+8 of 16 ways).
+        assert!(!m0.intersects(m1));
+    }
+
+    #[test]
+    fn llc_ddio_deposit_makes_line_resident() {
+        let mut llc = Llc::new(64, 16, &[4]);
+        llc.ddio_deposit(0x99, VmId(0));
+        assert!(llc.access(0x99, VmId(0), false, false));
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //!   upper bound in the Figure 14 policy study;
 //! * [`CoreMem`] — a core's private L1I/L1D/L2 caches and L1/L2 TLBs wired to
 //!   a CAT-partitioned shared LLC ([`Llc`]) and a banked DRAM model
-//!   ([`Dram`]), producing per-access stall-cycle costs;
+//!   ([`Dram`]), producing per-access stall-cycle costs. A stream's walk
+//!   splits into a state pass (the private pass
+//!   [`CoreMem::walk_private`], then the LLC pass [`WalkTrace::walk_llc`])
+//!   and a timing pass ([`CoreMem::walk_timing`]) through the MSHRs and
+//!   DRAM, so walks of different cores can run their private passes apart;
 //! * [`flush`] — the latencies of software `wbinvd`-style flushes and
 //!   HardHarvest's 1000-cycle in-hardware harvest-region flush.
 //!
@@ -36,6 +40,6 @@ pub use belady::BeladyCache;
 pub use cache::{AccessOutcome, CacheOp, CacheStats, SetAssocCache, WayState};
 pub use config::{CacheConfig, HierarchyConfig, LlcConfig, TlbConfig, LLC_HIT_CYCLES};
 pub use dram::{Dram, DramConfig};
-pub use hierarchy::{AccessCost, CoreMem, FlushStats, Llc, VisSplit, Visibility};
+pub use hierarchy::{AccessCost, CoreMem, FlushStats, Llc, VisSplit, Visibility, WalkTrace};
 pub use policy::PolicyKind;
 pub use waymask::WayMask;

@@ -11,14 +11,16 @@
 //! A divergence fails with hh-check's pinpointed report (operation index,
 //! set, both models' way states) rather than a bare assert.
 //!
-//! The last property checks the stream entry point: [`hh_mem::CoreMem::walk`],
-//! with its prefetching lookahead ring, against a plain loop of
-//! [`hh_mem::CoreMem::access`] calls on an identical hierarchy.
+//! The last properties check the stream entry points against a plain loop
+//! of [`hh_mem::CoreMem::access`] calls on an identical hierarchy:
+//! [`hh_mem::CoreMem::walk`], with its prefetching lookahead ring, and the
+//! split walk a server runs (private pass, LLC pass, timing pass at an
+//! explicit DRAM weight).
 
 use hh_check::diff_cache;
 use hh_mem::{
     Access, AccessKind, CacheConfig, CoreMem, Dram, HierarchyConfig, Llc, PageClass, PolicyKind,
-    TlbConfig, Visibility, WayMask,
+    TlbConfig, Visibility, WalkTrace, WayMask,
 };
 use hh_sim::{Cycles, VmId};
 use hh_workload::OpTrace;
@@ -243,6 +245,75 @@ proptest! {
                 expected += looped.access(now, acc, vis, &mut looped_llc, &mut looped_dram).stall;
             }
             prop_assert_eq!(total, expected, "phase {} ({} refs)", i, len);
+        }
+        prop_assert_eq!(walked.structure_stats(), looped.structure_stats());
+        prop_assert_eq!(walked.l2_split(), looped.l2_split());
+        prop_assert_eq!(walked.flush_stats(), looped.flush_stats());
+        for set in 0..walked.l2().sets() {
+            let (w, l) = (walked.l2().way_states(set), looped.l2().way_states(set));
+            prop_assert_eq!(w, l, "L2 set {}", set);
+        }
+        prop_assert_eq!(llc.stats(), looped_llc.stats());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The split walk — `walk_private`, `walk_llc`, `walk_timing` at an
+    /// explicit DRAM weight — returns the
+    /// same stall totals and leaves the same statistics, L2 and LLC state
+    /// as the per-reference `access` loop at that weight, phase after
+    /// phase, at the ring's edge lengths, under every visibility, MSHR
+    /// setting and policy, and in infinite mode.
+    #[test]
+    fn split_walk_matches_per_reference_access(
+        policy in policies(),
+        mshrs in prop_oneof![Just(None), Just(Some(1usize)), Just(Some(4))],
+        infinite in prop_oneof![Just(false), Just(false), Just(false), Just(true)],
+        weight in prop_oneof![Just(1.0f64), Just(3.0f64)],
+        (refs, phases) in (raw_refs(), raw_phases()),
+    ) {
+        let config = tiny_hierarchy(mshrs);
+        let mut walked = CoreMem::new(&config, 0.5, policy);
+        walked.set_infinite(infinite);
+        let mut looped = walked.clone();
+        looped.set_dram_weight(weight);
+        let (mut llc, mut dram) = (Llc::new(18, 16, &[2, 2, 3]), Dram::default());
+        let (mut looped_llc, mut looped_dram) = (llc.clone(), dram.clone());
+        let lookahead = CoreMem::LOOKAHEAD;
+        let mut trace = WalkTrace::default();
+        let mut next = 0;
+        for (i, &(len_choice, random_len, vis, flush, start)) in phases.iter().enumerate() {
+            let len = [0, 1, lookahead - 1, lookahead, lookahead + 1, random_len]
+                [len_choice as usize];
+            // One VM per phase, as a server's streams are.
+            let vm = (i % 3) as u16;
+            let stream: Vec<Access> = (0..len)
+                .map(|k| {
+                    let (_, addr, kind, shared) = refs[(next + k) % refs.len()];
+                    to_access(&(vm, addr, kind, shared))
+                })
+                .collect();
+            next += len;
+            let vis = [Visibility::Primary, Visibility::PrimaryFlushPending, Visibility::Harvest]
+                [vis as usize];
+            match flush {
+                1 => prop_assert_eq!(walked.flush_harvest_region(), looped.flush_harvest_region()),
+                2 => prop_assert_eq!(walked.flush_all(), looped.flush_all()),
+                _ => {}
+            }
+            let start = Cycles::new(start);
+            walked.walk_private(stream.iter().copied(), vis, &mut trace);
+            trace.walk_llc(&mut llc);
+            let total = walked.walk_timing(start, &trace, weight, &mut dram);
+            let mut expected = Cycles::ZERO;
+            for &acc in &stream {
+                let now = if mshrs.is_some() { start + expected } else { start };
+                expected += looped.access(now, acc, vis, &mut looped_llc, &mut looped_dram).stall;
+            }
+            prop_assert_eq!(total, expected, "phase {} ({} refs)", i, len);
+            prop_assert_eq!(dram.accesses(), looped_dram.accesses());
         }
         prop_assert_eq!(walked.structure_stats(), looped.structure_stats());
         prop_assert_eq!(walked.l2_split(), looped.l2_split());

@@ -350,6 +350,19 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
+    /// The replacement policy of the private caches and TLBs: LRU, or
+    /// Algorithm 1 ([`SystemSpec::cache_policy`]) with its
+    /// eviction-candidate fraction overridden by
+    /// [`ServerConfig::eviction_candidate_frac`] when set.
+    pub fn cache_policy(&self) -> PolicyKind {
+        match (self.system.cache_policy(), self.eviction_candidate_frac) {
+            (PolicyKind::HardHarvest { .. }, Some(candidate_frac)) => {
+                PolicyKind::HardHarvest { candidate_frac }
+            }
+            (policy, _) => policy,
+        }
+    }
+
     /// Table 1 server with the given system, at a moderate load.
     pub fn table1(system: SystemSpec) -> Self {
         ServerConfig {
@@ -516,6 +529,22 @@ mod tests {
             assert!(!s.mode.enabled(), "{}", s.name);
             assert!(!s.opts.partition && !s.opts.fast_flush);
         }
+    }
+
+    #[test]
+    fn config_cache_policy_applies_the_figure_19_fraction() {
+        let mut c = ServerConfig::small(SystemSpec::hardharvest_block());
+        assert_eq!(c.cache_policy(), PolicyKind::hardharvest_default());
+        c.eviction_candidate_frac = Some(0.25);
+        assert_eq!(
+            c.cache_policy(),
+            PolicyKind::HardHarvest {
+                candidate_frac: 0.25
+            }
+        );
+        // LRU systems have no candidate window to override.
+        c.system = SystemSpec::no_harvest();
+        assert_eq!(c.cache_policy(), PolicyKind::Lru);
     }
 
     #[test]

@@ -1,20 +1,24 @@
 //! The per-server discrete-event simulation.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use hh_hwqueue::{Controller, ControllerConfig, EnqueueOutcome, VmKind};
-use hh_mem::{flush, CoreMem, Dram, Llc, PolicyKind, Visibility};
+use hh_mem::{flush, CoreMem, Dram, Llc, Visibility, WalkTrace};
 use hh_noc::{ControlTree, Mesh2D};
 use hh_sim::invariant::{invariant, InvariantSet, InvariantViolation};
-use hh_sim::{CoreId, Cycles, EventQueue, Rng64, VmId};
+use hh_sim::{CoreId, Cycles, EventQueue, Reserved, Rng64, VmId};
 use hh_trace::{trace_event, trace_gauge, trace_hist};
 use hh_trace::{FlushScope, ReassignKind, TraceEvent, TraceSession, NO_INDEX};
-use hh_workload::{BatchCatalog, BatchJob, LoadGen, RequestPlan, ServiceCatalog, ServiceId};
+use hh_workload::{
+    BatchCatalog, BatchJob, LoadGen, RequestPlan, ServiceCatalog, ServiceId, StreamSpec,
+};
 
 use crate::config::{
     AGENT_TICK, BUFFER_ATTACH, HW_CTXT, HW_REASSIGN, KVM_CTXT, KVM_DETACH_ATTACH, MM_QUEUE,
     OPT_CTXT, OPT_DETACH_ATTACH, POLL_MEDIAN, SW_DISPATCH,
 };
+use crate::walks::{Board, HelperMode, Job, ThreadSlot};
 use crate::{HarvestMode, ServerConfig, ServerMetrics, SwReassign};
 
 /// Minimum EWMA block duration (µs) for [`HarvestMode::Adaptive`] to keep
@@ -92,6 +96,64 @@ enum Ev {
     AgentTick,
 }
 
+/// What completes when a walk's stall is known.
+#[derive(Debug, Clone, Copy)]
+enum Then {
+    /// A request phase: `PhaseDone` after `lead + compute + stalls`.
+    Phase {
+        vm: usize,
+        token: u64,
+        lead: Cycles,
+        compute: Cycles,
+    },
+    /// A batch unit, started while `active` other units ran.
+    Unit { lead: Cycles, active: usize },
+}
+
+/// What waits for the event loop, in issue order: walks and the DDIO
+/// deposits issued between them.
+#[derive(Debug)]
+enum Pending {
+    Walk(PendingWalk),
+    /// Deposits of `keys` into `vm`'s LLC partition.
+    Deposit {
+        vm: VmId,
+        keys: Vec<u64>,
+    },
+}
+
+impl Pending {
+    fn lower_bound(&self) -> Cycles {
+        match self {
+            Pending::Walk(w) => w.lower_bound,
+            Pending::Deposit { .. } => Cycles::MAX,
+        }
+    }
+
+    fn is_walk_on(&self, core: usize) -> bool {
+        matches!(self, Pending::Walk(w) if w.core == core)
+    }
+}
+
+/// A walk issued and not yet completed: its private pass is queued on the
+/// [`Board`]; its LLC and timing passes and its completion wait for the
+/// event loop.
+#[derive(Debug)]
+struct PendingWalk {
+    core: usize,
+    /// The core's generation the completion event carries.
+    gen: u64,
+    /// Issue time.
+    start: Cycles,
+    /// The completion event's place among equal-timestamp events.
+    slot: Reserved,
+    /// The earliest time the completion event can fire: the walk's stall
+    /// is not known before its timing pass, but it is never negative.
+    lower_bound: Cycles,
+    dram_weight: f64,
+    then: Then,
+}
+
 /// Cost breakdown of one cross-VM switch.
 #[derive(Debug, Clone, Copy, Default)]
 struct SwitchCost {
@@ -126,9 +188,20 @@ pub struct ServerSim {
     now: Cycles,
     events: EventQueue<Ev>,
     cores: Vec<Core>,
-    mems: Vec<CoreMem>,
+    /// Each core's private hierarchy, shared with the walk executors.
+    mems: Vec<Arc<Mutex<CoreMem>>>,
     llc: Llc,
     dram: Dram,
+    /// Queued private passes (see the `walks` module).
+    board: Arc<Board>,
+    /// Walks issued and not yet completed, in issue order (the board's),
+    /// and the deposits issued between them.
+    pending: VecDeque<Pending>,
+    /// The least lower bound in `pending` (`Cycles::MAX` when none).
+    pending_bound: Cycles,
+    /// Walk traces of completed walks, for reuse.
+    spare_traces: Vec<WalkTrace>,
+    helper: HelperMode,
     ctrl: Controller,
     tree: ControlTree,
     /// Regular NoC carrying Request-Context-Memory traffic (Section 4.1.8).
@@ -177,13 +250,7 @@ impl ServerSim {
         cfg.validate();
         let catalog = ServiceCatalog::of(cfg.catalog);
         let job = *BatchCatalog::paper().get(cfg.batch_job);
-        let policy = if cfg.system.opts.smart_repl {
-            PolicyKind::HardHarvest {
-                candidate_frac: cfg.eviction_candidate_frac.unwrap_or(0.75),
-            }
-        } else {
-            PolicyKind::Lru
-        };
+        let policy = cfg.cache_policy();
 
         let n_primary = cfg.primary_vms;
         let harvest_vm = n_primary; // last VM index
@@ -213,7 +280,7 @@ impl ServerSim {
                 mem.set_capacity_fraction(cfg.capacity_frac);
             }
             mem.set_infinite(cfg.infinite_cache);
-            mems.push(mem);
+            mems.push(Arc::new(Mutex::new(mem)));
         }
 
         // LLC: CAT partition per VM, proportional to cores. The LLC scales
@@ -277,6 +344,11 @@ impl ServerSim {
             mems,
             llc,
             dram: Dram::default(),
+            board: Arc::default(),
+            pending: VecDeque::new(),
+            pending_bound: Cycles::MAX,
+            spare_traces: Vec::new(),
+            helper: HelperMode::Auto,
             ctrl,
             tree: ControlTree::table1(),
             mesh: Mesh2D::table1(),
@@ -301,16 +373,57 @@ impl ServerSim {
         }
     }
 
+    /// Runs the walk helper thread always (`true`) or never, whatever
+    /// else the host runs.
+    #[cfg(test)]
+    pub(crate) fn force_helper(mut self, on: bool) -> Self {
+        self.helper = HelperMode::Forced(on);
+        self
+    }
+
     fn harvest_vm(&self) -> usize {
         self.cfg.primary_vms
     }
 
     /// Runs to completion and returns the metrics.
     ///
+    /// While the host has a core no other simulation or helper uses and no
+    /// trace session records, a helper thread runs the private passes of
+    /// queued hierarchy walks (see the `walks` module) for the duration of
+    /// the call; the results are identical either way.
+    ///
     /// # Panics
     /// Panics if the simulation deadlocks (events exhausted with requests
     /// outstanding) — that is a simulator bug, not a workload condition.
     pub fn run(mut self) -> ServerMetrics {
+        let _slot = ThreadSlot::simulation();
+        let board = Arc::clone(&self.board);
+        // A trace records events as they happen, so a traced run completes
+        // every walk at issue and has nothing for a helper to do.
+        let helper = if self.trace.is_some() {
+            HelperMode::Forced(false)
+        } else {
+            self.helper
+        };
+        std::thread::scope(|scope| {
+            let _helper = board.start_helper(scope, helper);
+            self.simulate();
+        });
+
+        // Final accounting.
+        self.metrics.end_time = self.now;
+        for mem in &self.mems {
+            let s = lock(mem).l2_stats();
+            self.metrics.l2_hits += s.hits;
+            self.metrics.l2_misses += s.misses;
+        }
+        self.finish_trace();
+        self.metrics
+    }
+
+    /// The event loop, from the seed events until every request completes
+    /// and every issued walk has run.
+    fn simulate(&mut self) {
         // Seed initial events.
         for vm in 0..self.cfg.primary_vms {
             self.schedule_next_arrival(vm);
@@ -340,7 +453,17 @@ impl ServerSim {
         // Pure runaway backstop: real runs use a few million events; only a
         // scheduling livelock could approach this.
         let mut budget: u64 = 500_000_000;
-        while let Some((t, ev)) = self.events.pop() {
+        loop {
+            // A pending walk whose completion may precede the next event
+            // completes first.
+            let next = self.events.peek_time();
+            if next.is_none_or(|t| self.pending_bound <= t) && !self.pending.is_empty() {
+                self.complete_walks_through(next.unwrap_or(Cycles::MAX));
+                continue;
+            }
+            let Some((t, ev)) = self.events.pop() else {
+                break;
+            };
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             budget -= 1;
@@ -362,6 +485,7 @@ impl ServerSim {
             self.handle(ev);
             #[cfg(debug_assertions)]
             if budget.is_multiple_of(4096) {
+                self.complete_walks_through(Cycles::MAX);
                 if let Err(v) = self.check_invariants() {
                     self.report_invariant_violation(&v);
                     panic!("at {}: {v}", self.now);
@@ -371,6 +495,9 @@ impl ServerSim {
                 break;
             }
         }
+        // Walks issued before the last completion still count in the
+        // statistics.
+        self.complete_walks_through(Cycles::MAX);
         assert!(
             self.completed >= self.total_requests,
             "simulation deadlocked: {}/{} requests completed at {}",
@@ -378,16 +505,170 @@ impl ServerSim {
             self.total_requests,
             self.now
         );
+    }
 
-        // Final accounting.
-        self.metrics.end_time = self.now;
-        for mem in &self.mems {
-            let s = mem.l2_stats();
-            self.metrics.l2_hits += s.hits;
-            self.metrics.l2_misses += s.misses;
+    // ----- hierarchy walks ------------------------------------------------
+
+    /// Runs `stream` through `core`'s hierarchy, then completes `then` with
+    /// the walk's stall. The walk is queued; while a helper thread runs,
+    /// the event loop completes it before the first event at or after its
+    /// lower bound (and before anything else reads or changes what it
+    /// touches), otherwise at once.
+    fn issue_walk(
+        &mut self,
+        core: usize,
+        gen: u64,
+        stream: StreamSpec,
+        vis: Visibility,
+        then: Then,
+    ) {
+        debug_assert!(
+            !self.pending.iter().any(|p| p.is_walk_on(core)),
+            "one walk per core"
+        );
+        // Stalls are never negative, so the completion comes no earlier
+        // than the phase's compute or the unit's base length.
+        let (lower_bound, dram_weight) = match then {
+            Then::Phase { lead, compute, .. } => (self.now + lead + compute, 1.0),
+            Then::Unit { lead, .. } => (
+                self.now + lead + self.job.unit_cycles(),
+                self.cfg.batch_stall_scale.max(1.0),
+            ),
+        };
+        let trace = self.spare_traces.pop().unwrap_or_default();
+        let mem = Arc::clone(&self.mems[core]);
+        self.board.issue(Job::new(core, mem, stream, vis, trace));
+        self.pending_bound = self.pending_bound.min(lower_bound);
+        self.pending.push_back(Pending::Walk(PendingWalk {
+            core,
+            gen,
+            start: self.now,
+            slot: self.events.reserve(),
+            lower_bound,
+            dram_weight,
+            then,
+        }));
+        if !self.board.helper_alive() {
+            self.complete_walks(self.pending.len());
         }
-        self.finish_trace();
-        self.metrics
+    }
+
+    /// Completes, in issue order, every pending walk up to the last one
+    /// whose lower bound is at most `t`.
+    fn complete_walks_through(&mut self, t: Cycles) {
+        if let Some(last) = self.pending.iter().rposition(|p| p.lower_bound() <= t) {
+            self.complete_walks(last + 1);
+        }
+    }
+
+    /// Completes the pending walk on `core`, if any, and every older one.
+    fn complete_walk_on(&mut self, core: usize) {
+        if let Some(i) = self.pending.iter().position(|p| p.is_walk_on(core)) {
+            self.complete_walks(i + 1);
+        }
+    }
+
+    /// Completes the `n` oldest pending walks and deposits: the LLC and
+    /// timing passes in issue order, as the LLC, DRAM and the MSHRs saw
+    /// them before the split.
+    fn complete_walks(&mut self, n: usize) {
+        for _ in 0..n {
+            let walk = match self.pending.pop_front().expect("pending walk") {
+                Pending::Walk(walk) => walk,
+                Pending::Deposit { vm, keys } => {
+                    for key in keys {
+                        self.llc.ddio_deposit(key, vm);
+                    }
+                    continue;
+                }
+            };
+            let mut job = self.board.take_front();
+            debug_assert_eq!(job.core, walk.core, "board and pending list agree");
+            job.trace.walk_llc(&mut self.llc);
+            let stalls = lock(&self.mems[walk.core]).walk_timing(
+                walk.start,
+                &job.trace,
+                walk.dram_weight,
+                &mut self.dram,
+            );
+            self.spare_traces.push(job.trace);
+            self.complete_walk(walk, stalls);
+        }
+        self.pending_bound = self
+            .pending
+            .iter()
+            .map(Pending::lower_bound)
+            .min()
+            .unwrap_or(Cycles::MAX);
+    }
+
+    /// Deposits `keys` into `vm`'s LLC partition, after the LLC passes of
+    /// the pending walks.
+    fn ddio_deposit(&mut self, vm: VmId, keys: Vec<u64>) {
+        if self.pending.is_empty() {
+            for key in keys {
+                self.llc.ddio_deposit(key, vm);
+            }
+        } else {
+            self.pending.push_back(Pending::Deposit { vm, keys });
+        }
+    }
+
+    /// Waits until no queued private pass touches `core`'s hierarchy.
+    fn settle_core(&self, core: usize) {
+        if !self.pending.is_empty() {
+            self.board.settle_core(core);
+        }
+    }
+
+    /// Finishes what a walk with `stalls` completes.
+    fn complete_walk(&mut self, walk: PendingWalk, stalls: Cycles) {
+        let core = walk.core;
+        match walk.then {
+            Then::Phase {
+                vm,
+                token,
+                lead,
+                compute,
+            } => {
+                let duration = compute + stalls;
+                self.requests.get_mut(&token).expect("live request").exec += duration;
+                if self.trace.is_some() {
+                    trace_event!(
+                        self.trace,
+                        TraceEvent::PhaseSpan {
+                            start: walk.start,
+                            dur: lead + duration,
+                            core: core as u32,
+                            vm: vm as u32,
+                            token,
+                        }
+                    );
+                }
+                self.events.push_reserved(
+                    walk.start + lead + duration,
+                    walk.slot,
+                    Ev::PhaseDone {
+                        core,
+                        gen: walk.gen,
+                    },
+                );
+            }
+            Then::Unit { lead, active } => {
+                let scaled =
+                    Cycles::new((stalls.as_u64() as f64 * self.cfg.batch_stall_scale) as u64);
+                let base = self.job.unit_cycles() + scaled;
+                // Sub-linear parallel scaling: synchronization and
+                // shared-state contention stretch each unit as more vCPUs
+                // run concurrently (graph analytics and ML training scale
+                // far from linearly).
+                let n = active as f64;
+                let duration = Cycles::new(
+                    (base.as_u64() as f64 * (1.0 + self.job.scaling_penalty * n)) as u64,
+                );
+                self.schedule_unit_end(core, walk.gen, walk.start, lead, duration, walk.slot);
+            }
+        }
     }
 
     /// Records a structured report of a failed invariant check and ships
@@ -413,6 +694,7 @@ impl ServerSim {
         let mut split = hh_mem::VisSplit::default();
         let mut flushes = hh_mem::FlushStats::default();
         for mem in &self.mems {
+            let mem = lock(mem);
             let s = mem.l2_split();
             split.primary_hits += s.primary_hits;
             split.primary_misses += s.primary_misses;
@@ -468,7 +750,7 @@ impl ServerSim {
             return;
         }
         let now = self.now;
-        let stats = self.mems[core].flush_stats();
+        let stats = lock(&self.mems[core]).flush_stats();
         let epoch = stats.full_flushes + stats.region_flushes;
         trace_event!(
             self.trace,
@@ -565,9 +847,8 @@ impl ServerSim {
         );
         // DDIO: the NIC deposits the payload into the destination VM's LLC
         // partition (Figure 8(a) step 2).
-        for l in 0..plan.payload_lines as u64 {
-            self.llc.ddio_deposit((invocation << 8) | l, VmId::from(vm));
-        }
+        let keys = (0..plan.payload_lines as u64).map(|l| (invocation << 8) | l);
+        self.ddio_deposit(VmId::from(vm), keys.collect());
         self.requests.insert(
             token,
             Req {
@@ -796,44 +1077,26 @@ impl ServerSim {
         } else {
             Visibility::Primary
         };
-        let stream = {
-            let req = &self.requests[&token];
-            req.plan.phases[req.phase].stream
-        };
-        let stalls =
-            self.mems[core].walk(self.now, stream.iter(), vis, &mut self.llc, &mut self.dram);
-        let compute = {
-            let req = &self.requests[&token];
-            req.plan.phases[req.phase].compute
-        };
-        let duration = compute + stalls;
-        {
+        let (stream, compute) = {
             let req = self.requests.get_mut(&token).expect("live request");
-            req.exec += duration;
             req.reassign_wait += reassign;
             req.flush_wait += flush;
-        }
+            let phase = &req.plan.phases[req.phase];
+            (phase.stream, phase.compute)
+        };
         let c = &mut self.cores[core];
         c.run = Run::Req { token };
         c.resident = Some(vm);
         c.gen += 1;
         let gen = c.gen;
         self.busy_add(1.0);
-        if self.trace.is_some() {
-            let now = self.now;
-            trace_event!(
-                self.trace,
-                TraceEvent::PhaseSpan {
-                    start: now,
-                    dur: lead + duration,
-                    core: core as u32,
-                    vm: vm as u32,
-                    token,
-                }
-            );
-        }
-        self.events
-            .push(self.now + lead + duration, Ev::PhaseDone { core, gen });
+        let then = Then::Phase {
+            vm,
+            token,
+            lead,
+            compute,
+        };
+        self.issue_walk(core, gen, stream, vis, then);
     }
 
     fn on_phase_done(&mut self, core: usize) {
@@ -1031,7 +1294,8 @@ impl ServerSim {
                     let full = flush::software(&mut self.rng);
                     Cycles::new((full.as_u64() as f64 * self.cfg.harvest_frac) as u64)
                 };
-                let dropped = self.mems[core].flush_harvest_region();
+                self.settle_core(core);
+                let dropped = lock(&self.mems[core]).flush_harvest_region();
                 self.note_flush(core, FlushScope::HarvestRegion, f, !to_harvest, dropped);
                 if to_harvest {
                     // Harvest may not start until the worst-case flush
@@ -1049,7 +1313,8 @@ impl ServerSim {
                 } else {
                     flush::software(&mut self.rng)
                 };
-                let dropped = self.mems[core].flush_all();
+                self.settle_core(core);
+                let dropped = lock(&self.mems[core]).flush_all();
                 self.note_flush(core, FlushScope::Full, f, false, dropped);
                 cost.flush_part = f;
                 cost.block += f;
@@ -1163,7 +1428,8 @@ impl ServerSim {
         }
         let flush = flush::software(&mut self.rng);
         let block = OPT_DETACH_ATTACH + flush;
-        let dropped = self.mems[core].flush_all();
+        self.settle_core(core);
+        let dropped = lock(&self.mems[core]).flush_all();
         self.note_flush(core, FlushScope::Full, flush, false, dropped);
         self.note_reassign(core, ReassignKind::ReturnToBuffer, block);
         let c = &mut self.cores[core];
@@ -1231,50 +1497,62 @@ impl ServerSim {
 
     fn start_unit(&mut self, core: usize, lead: Cycles) {
         let harvest = self.harvest_vm();
-        let duration = if let Some(rem) = self.partial_units.pop() {
-            // Preempted remainders are already scaled wall time; do not
-            // re-apply the parallel-scaling multiplier.
-            rem
-        } else {
-            let unit = self.next_unit;
-            self.next_unit += 1;
-            let vis = if self.cfg.system.opts.partition {
-                Visibility::Harvest
-            } else {
-                Visibility::Primary
-            };
-            let spec = self.job.unit_stream(VmId::from(harvest), unit);
-            self.mems[core].set_dram_weight(self.cfg.batch_stall_scale.max(1.0));
-            let stalls =
-                self.mems[core].walk(self.now, spec.iter(), vis, &mut self.llc, &mut self.dram);
-            self.mems[core].set_dram_weight(1.0);
-            let scaled = Cycles::new((stalls.as_u64() as f64 * self.cfg.batch_stall_scale) as u64);
-            let base = self.job.unit_cycles() + scaled;
-            // Sub-linear parallel scaling: synchronization and shared-state
-            // contention stretch each unit as more vCPUs run concurrently
-            // (graph analytics and ML training scale far from linearly).
-            let n = self.active_units as f64;
-            Cycles::new((base.as_u64() as f64 * (1.0 + self.job.scaling_penalty * n)) as u64)
-        };
+        let remainder = self.partial_units.pop();
+        let active = self.active_units;
         self.active_units += 1;
-        let end = self.now + lead + duration;
         let c = &mut self.cores[core];
-        c.run = Run::Unit { end };
+        // The end is set when the unit's walk completes.
+        c.run = Run::Unit { end: Cycles::MAX };
         c.gen += 1;
         let gen = c.gen;
         self.busy_add(1.0);
+        match remainder {
+            // Preempted remainders are already scaled wall time; do not
+            // re-apply the parallel-scaling multiplier.
+            Some(rem) => {
+                let slot = self.events.reserve();
+                self.schedule_unit_end(core, gen, self.now, lead, rem, slot);
+            }
+            None => {
+                let unit = self.next_unit;
+                self.next_unit += 1;
+                let vis = if self.cfg.system.opts.partition {
+                    Visibility::Harvest
+                } else {
+                    Visibility::Primary
+                };
+                let spec = self.job.unit_stream(VmId::from(harvest), unit);
+                let then = Then::Unit { lead, active };
+                self.issue_walk(core, gen, spec, vis, then);
+            }
+        }
+    }
+
+    /// Sets the end of the unit `core` runs and schedules its `UnitDone`.
+    fn schedule_unit_end(
+        &mut self,
+        core: usize,
+        gen: u64,
+        start: Cycles,
+        lead: Cycles,
+        duration: Cycles,
+        slot: Reserved,
+    ) {
+        let end = start + lead + duration;
+        debug_assert_eq!(self.cores[core].gen, gen, "the unit still runs");
+        self.cores[core].run = Run::Unit { end };
         if self.trace.is_some() {
-            let now = self.now;
             trace_event!(
                 self.trace,
                 TraceEvent::UnitSpan {
-                    start: now,
+                    start,
                     dur: lead + duration,
                     core: core as u32
                 }
             );
         }
-        self.events.push(end, Ev::UnitDone { core, gen });
+        self.events
+            .push_reserved(end, slot, Ev::UnitDone { core, gen });
     }
 
     fn on_unit_done(&mut self, core: usize) {
@@ -1307,6 +1585,7 @@ impl ServerSim {
     }
 
     fn preempt_unit(&mut self, core: usize) {
+        self.complete_walk_on(core);
         if let Run::Unit { end } = self.cores[core].run {
             if end > self.now {
                 self.partial_units.push(end - self.now);
@@ -1558,6 +1837,12 @@ impl ServerSim {
     }
 }
 
+/// Locks a core's hierarchy.
+fn lock(mem: &Mutex<CoreMem>) -> MutexGuard<'_, CoreMem> {
+    mem.lock()
+        .expect("a walk panicked while it held this hierarchy")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1673,6 +1958,34 @@ mod tests {
         let free_m = run_small(SystemSpec::hardharvest_block(), 11);
         assert!(capped_m.batch_units < free_m.batch_units);
         assert_eq!(capped_m.completed(), 240);
+    }
+
+    #[test]
+    fn walk_helper_changes_no_result() {
+        let hardharvest = || ServerConfig::small(SystemSpec::hardharvest_block());
+        let mut configs: Vec<ServerConfig> = SystemSpec::evaluated_five()
+            .into_iter()
+            .map(ServerConfig::small)
+            .collect();
+        let mut paced = hardharvest();
+        paced.hierarchy.mshrs = Some(4);
+        let mut half = hardharvest();
+        half.capacity_frac = 0.5;
+        let mut infinite = hardharvest();
+        infinite.infinite_cache = true;
+        let mut window = hardharvest();
+        window.eviction_candidate_frac = Some(0.25);
+        configs.extend([paced, half, infinite, window]);
+        for (i, cfg) in configs.into_iter().enumerate() {
+            let with = ServerSim::new(cfg.clone()).force_helper(true).run();
+            let without = ServerSim::new(cfg).force_helper(false).run();
+            assert_eq!(with.summary(), without.summary(), "config {i}");
+            assert_eq!(
+                with.pooled_latency_ms().values(),
+                without.pooled_latency_ms().values(),
+                "config {i}"
+            );
+        }
     }
 
     #[test]

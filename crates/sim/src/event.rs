@@ -75,12 +75,33 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` to fire at absolute time `at`.
     pub fn push(&mut self, at: Cycles, event: E) {
+        let slot = self.reserve();
+        self.push_reserved(at, slot, event);
+    }
+
+    /// Takes the next insertion-order position without scheduling
+    /// anything yet: an event whose timestamp is not known at the moment
+    /// its cause is processed gets it now and is pushed later with
+    /// [`EventQueue::push_reserved`], delivered among equal-timestamp
+    /// events exactly as if it had been pushed here.
+    pub fn reserve(&mut self) -> Reserved {
         let seq = self.seq;
         self.seq += 1;
+        Reserved(seq)
+    }
+
+    /// Schedules `event` at `at` in the insertion-order position `slot`
+    /// reserved earlier.
+    pub fn push_reserved(&mut self, at: Cycles, slot: Reserved, event: E) {
         self.heap.push(Entry {
-            key: Reverse((at, seq)),
+            key: Reverse((at, slot.0)),
             event,
         });
+    }
+
+    /// Timestamp of the earliest pending event, if any.
+    pub fn peek_time(&self) -> Option<Cycles> {
+        self.heap.peek().map(|e| e.key.0 .0)
     }
 
     /// Removes and returns the earliest pending event, if any.
@@ -103,6 +124,10 @@ impl<E> EventQueue<E> {
         self.heap.clear();
     }
 }
+
+/// An insertion-order position taken by [`EventQueue::reserve`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reserved(u64);
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
@@ -135,6 +160,23 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop(), Some((Cycles::new(42), i)));
         }
+    }
+
+    #[test]
+    fn reserved_positions_keep_fifo_order_at_equal_timestamps() {
+        let mut q = EventQueue::new();
+        q.push(Cycles::new(7), "first");
+        let second = q.reserve();
+        q.push(Cycles::new(7), "third");
+        let fourth = q.reserve();
+        q.push(Cycles::new(3), "early");
+        // Pushed last and out of order, but delivered in reservation order.
+        q.push_reserved(Cycles::new(7), fourth, "fourth");
+        q.push_reserved(Cycles::new(7), second, "second");
+        assert_eq!(q.peek_time(), Some(Cycles::new(3)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["early", "first", "second", "third", "fourth"]);
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod stats;
 mod time;
 
 pub use dist::{Exponential, LogNormal, Pareto, Zipf};
-pub use event::EventQueue;
+pub use event::{EventQueue, Reserved};
 pub use ids::{CoreId, ServerId, VmId};
 pub use invariant::{Invariant, InvariantSet, InvariantViolation};
 pub use rng::Rng64;
