@@ -6,7 +6,9 @@
 //! 1. cache traces (mixed shared/private keys, writes, harvest-restricted
 //!    masks, region flushes, HarvestMask reloads) replayed through the
 //!    optimized cache and the naive reference, across geometries ×
-//!    all replacement policies × mask schedules;
+//!    all replacement policies × mask schedules, then all of it again
+//!    with every optimized cache built on the set blocks of a dropped,
+//!    full one;
 //! 2. the Belady bound and partition invariant over the same traces;
 //! 3. sample-set traces (repeated queries, empty sets and empty merges)
 //!    against the sort-based percentile reference;
@@ -111,7 +113,28 @@ fn phase_trace(ways: usize) -> OpTrace {
     t
 }
 
-fn check_cache_suite(failures: &mut u32, checks: &mut u32) {
+/// Builds a cache of this geometry, writes a dirty line (every other one
+/// shared) into every way of every set, and drops it. The next cache of
+/// the geometry built on this thread takes its set blocks, so it starts
+/// on words that name real keys of the suite's traces.
+fn litter(sets: usize, ways: usize) {
+    let mut c = SetAssocCache::new(sets, ways, PolicyKind::Lru, WayMask::EMPTY);
+    for j in 0..ways {
+        for set in 0..sets {
+            c.access(
+                (set + sets * j) as u64,
+                j % 2 == 0,
+                WayMask::all(ways),
+                true,
+            );
+        }
+    }
+}
+
+/// The cache differential and invariant sweep. With `recycled`, each
+/// optimized cache under test starts on [`litter`]ed set blocks.
+fn check_cache_suite(failures: &mut u32, checks: &mut u32, recycled: bool) {
+    let blocks = if recycled { ", recycled blocks" } else { "" };
     // 12 and 9 sets take the `%` set index (the LLC's path, 9·2¹³ sets);
     // the power-of-two counts take the mask.
     let geometries = [(4usize, 4usize), (16, 8), (64, 16), (12, 8), (9, 16)];
@@ -139,10 +162,16 @@ fn check_cache_suite(failures: &mut u32, checks: &mut u32) {
                 );
                 let harvest = WayMask::lower(ways / 2);
                 *checks += 1;
+                if recycled {
+                    litter(sets, ways);
+                }
                 match diff_cache(sets, ways, policy, harvest, &trace) {
                     Ok(stats) => {
                         // Invariant sweep over the same trace on the
                         // optimized structure, checked periodically.
+                        if recycled {
+                            litter(sets, ways);
+                        }
                         let mut c = SetAssocCache::new(sets, ways, policy, harvest);
                         let suite = cache_invariants();
                         for (i, op) in trace.ops().iter().enumerate() {
@@ -163,7 +192,7 @@ fn check_cache_suite(failures: &mut u32, checks: &mut u32) {
                             if i % 64 == 0 {
                                 if let Err(v) = suite.check_all(&c) {
                                     eprintln!(
-                                        "FAIL cache invariant [{sets}x{ways} {policy:?} {schedule:?}] op {i}: {v}"
+                                        "FAIL cache invariant [{sets}x{ways} {policy:?} {schedule:?}{blocks}] op {i}: {v}"
                                     );
                                     *failures += 1;
                                     break;
@@ -178,13 +207,15 @@ fn check_cache_suite(failures: &mut u32, checks: &mut u32) {
                                 online_hits: stats.hits,
                             };
                             if let Err(detail) = BeladyUpperBound.check(&run) {
-                                eprintln!("FAIL belady bound [{sets}x{ways} {policy:?}]: {detail}");
+                                eprintln!("FAIL belady bound [{sets}x{ways} {policy:?}{blocks}]: {detail}");
                                 *failures += 1;
                             }
                         }
                     }
                     Err(d) => {
-                        eprintln!("FAIL cache diff [{sets}x{ways} {policy:?} {schedule:?}]:\n{d}");
+                        eprintln!(
+                            "FAIL cache diff [{sets}x{ways} {policy:?} {schedule:?}{blocks}]:\n{d}"
+                        );
                         *failures += 1;
                     }
                 }
@@ -193,6 +224,9 @@ fn check_cache_suite(failures: &mut u32, checks: &mut u32) {
         // The recorded-workload trace, all policies.
         for &policy in &policies {
             *checks += 1;
+            if recycled {
+                litter(sets, ways);
+            }
             if let Err(d) = diff_cache(
                 sets,
                 ways,
@@ -200,7 +234,9 @@ fn check_cache_suite(failures: &mut u32, checks: &mut u32) {
                 WayMask::lower(ways / 2),
                 &phase_trace(ways),
             ) {
-                eprintln!("FAIL cache diff on recorded phase [{sets}x{ways} {policy:?}]:\n{d}");
+                eprintln!(
+                    "FAIL cache diff on recorded phase [{sets}x{ways} {policy:?}{blocks}]:\n{d}"
+                );
                 *failures += 1;
             }
         }
@@ -401,7 +437,9 @@ fn main() {
     let mut checks = 0u32;
 
     println!("hh-check: cache differential sweep…");
-    check_cache_suite(&mut failures, &mut checks);
+    check_cache_suite(&mut failures, &mut checks, false);
+    println!("hh-check: cache differential sweep on recycled set blocks…");
+    check_cache_suite(&mut failures, &mut checks, true);
     println!("hh-check: percentile differential sweep…");
     check_samples_suite(&mut failures, &mut checks);
     println!("hh-check: memo-table identity probe…");

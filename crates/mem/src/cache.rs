@@ -14,6 +14,8 @@
 // A hot module: the per-access/per-event path must not hide panic branches.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use std::cell::RefCell;
+
 use serde::{Deserialize, Serialize};
 
 use crate::{PolicyKind, WayMask};
@@ -105,7 +107,7 @@ pub enum CacheOp {
 pub struct WayState {
     /// Way index within the set.
     pub way: usize,
-    /// Stored tag (meaningless when `!valid`).
+    /// Stored tag (0 when `!valid`).
     pub tag: u64,
     /// Whether the entry holds a line.
     pub valid: bool,
@@ -151,7 +153,8 @@ pub struct SetAssocCache {
     /// One block of `2 * ways` words per set: the set's tags, then one
     /// state word per way holding the LRU stamp (larger = more recently
     /// used) above [`STAMP_SHIFT`] and the metadata byte below it. An
-    /// invalid way's tag and state are zero.
+    /// invalid way's words are garbage (left by an invalidated line or by
+    /// a dropped cache whose buffer this one recycled) and never read.
     slots: Vec<u64>,
     /// Per set, the bitmask of ways holding a line. Dense, so a flush
     /// reads 4 bytes per set rather than every way's state word, and a
@@ -165,7 +168,9 @@ pub struct SetAssocCache {
 }
 
 impl SetAssocCache {
-    /// Creates an empty cache.
+    /// Creates an empty cache. Its set blocks come from this thread's
+    /// spare list when a dropped cache left a buffer of the same size
+    /// there, so only the valid masks are zeroed.
     ///
     /// # Panics
     /// Panics if `sets` or `ways` is zero, `ways > 32`, or the harvest mask
@@ -181,7 +186,7 @@ impl SetAssocCache {
             sets,
             ways,
             index_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
-            slots: vec![0; 2 * sets * ways],
+            slots: take_slots(2 * sets * ways),
             valid: vec![0; sets],
             policy,
             harvest_mask,
@@ -264,15 +269,6 @@ impl SetAssocCache {
     fn set_meta(&mut self, base: usize, w: usize, meta: u8) {
         let state = &mut self.slots[base + self.ways + w];
         *state = *state & !0xFF | u64::from(meta);
-    }
-
-    /// Empties way `w` of `set`.
-    #[inline]
-    fn clear(&mut self, set: usize, w: usize) {
-        let base = self.block(set);
-        self.slots[base + w] = 0;
-        self.set_state(base, w, 0, 0);
-        self.valid[set] &= !(1 << w);
     }
 
     /// Ways of `set` holding a valid copy of `key`. The probe scans the
@@ -374,12 +370,13 @@ impl SetAssocCache {
                 self.stats.writebacks += 1;
                 writeback = true;
             }
-            self.clear(set, w);
         }
+        self.valid[set] &= !resident;
 
         let victim = self.choose_victim(set, eff, shared);
-        // An empty victim's state is zero, so only a valid line is dirty.
-        if self.meta(base, victim) & META_DIRTY != 0 {
+        // An empty victim's state words are garbage: only a valid line can
+        // be dirty.
+        if self.valid[set] & (1 << victim) != 0 && self.meta(base, victim) & META_DIRTY != 0 {
             self.stats.writebacks += 1;
             writeback = true;
         }
@@ -525,6 +522,8 @@ impl SetAssocCache {
 
     /// Invalidates every entry in the given ways across all sets (the
     /// harvest-region flush). Returns the number of valid entries dropped.
+    /// Clears valid bits only; set blocks are read for the dirty bits of
+    /// the dropped lines and never written.
     pub fn invalidate_ways(&mut self, mask: WayMask) -> u64 {
         let eff = self.effective(mask);
         let mut dropped = 0;
@@ -534,13 +533,13 @@ impl SetAssocCache {
                 continue;
             }
             let base = self.block(set);
+            dropped += doomed.count() as u64;
             for w in doomed.iter() {
-                dropped += 1;
                 if self.meta(base, w) & META_DIRTY != 0 {
                     self.stats.writebacks += 1;
                 }
-                self.clear(set, w);
             }
+            self.valid[set] &= !doomed.0;
         }
         self.stats.flushed += dropped;
         dropped
@@ -554,7 +553,8 @@ impl SetAssocCache {
 
     /// Dumps the state of every way of `set` (see [`WayState`]). Used by
     /// the differential oracle to compare against its reference model and
-    /// to print the ways of a diverging set.
+    /// to print the ways of a diverging set. An invalid way reports every
+    /// field but `way` as zero, whatever its words hold.
     ///
     /// # Panics
     /// Panics if `set` is out of range.
@@ -563,11 +563,22 @@ impl SetAssocCache {
         let base = self.block(set);
         (0..self.ways)
             .map(|w| {
+                if self.valid[set] & (1 << w) == 0 {
+                    return WayState {
+                        way: w,
+                        tag: 0,
+                        valid: false,
+                        shared: false,
+                        dirty: false,
+                        rrpv: 0,
+                        stamp: 0,
+                    };
+                }
                 let m = self.meta(base, w);
                 WayState {
                     way: w,
                     tag: self.slots[base + w],
-                    valid: self.valid[set] & (1 << w) != 0,
+                    valid: true,
                     shared: m & META_SHARED != 0,
                     dirty: m & META_DIRTY != 0,
                     rrpv: (m & RRPV_MASK) >> RRPV_SHIFT,
@@ -611,6 +622,59 @@ impl SetAssocCache {
         }
         n
     }
+}
+
+impl Drop for SetAssocCache {
+    /// Leaves the set blocks on this thread's spare list for the next
+    /// cache of the same size.
+    fn drop(&mut self) {
+        give_slots(std::mem::take(&mut self.slots));
+    }
+}
+
+/// The most set-block bytes one thread keeps for reuse: room for one
+/// Table 1 server's caches and TLBs (≈25.4 MB, 18.9 MB of it the LLC).
+/// A server built after one of the same geometry was dropped on its thread
+/// then takes every block from the spare list instead of zeroing ≈25 MB.
+const SPARE_SLOT_BYTES: usize = 32 << 20;
+
+thread_local! {
+    /// Dropped caches' set blocks, oldest first. Per thread, so no lock:
+    /// a server is built, run and dropped on one thread.
+    static SPARE: RefCell<Vec<Vec<u64>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A set-block buffer of `len` words: the newest spare one of that length,
+/// else a fresh zeroed one. Its contents are garbage either way as far as
+/// the cache is concerned (see [`SetAssocCache::slots`]).
+fn take_slots(len: usize) -> Vec<u64> {
+    SPARE
+        .try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            let i = spare.iter().rposition(|b| b.len() == len)?;
+            Some(spare.remove(i))
+        })
+        .ok()
+        .flatten()
+        .unwrap_or_else(|| vec![0; len])
+}
+
+/// Puts `slots` on the spare list, then frees the oldest entries while the
+/// list holds more than [`SPARE_SLOT_BYTES`]. Frees `slots` itself if it
+/// alone is larger, or when the thread is exiting.
+fn give_slots(slots: Vec<u64>) {
+    let max_words = SPARE_SLOT_BYTES / std::mem::size_of::<u64>();
+    if slots.len() > max_words {
+        return;
+    }
+    let _ = SPARE.try_with(|spare| {
+        let mut spare = spare.borrow_mut();
+        spare.push(slots);
+        let mut words: usize = spare.iter().map(Vec::len).sum();
+        while words > max_words {
+            words -= spare.remove(0).len();
+        }
+    });
 }
 
 /// Asks the host to bring the 64-byte line holding `p` into its caches.
@@ -929,6 +993,57 @@ mod tests {
         for k in 0..8 {
             assert!(c.access(k, false, all, false).hit, "key {k}");
         }
+    }
+
+    #[test]
+    fn invalidated_way_dumps_all_zero() {
+        let mut c = small(PolicyKind::Rrip);
+        c.access(0x2A, true, ALL4, true); // shared, dirty, stamped
+        c.invalidate_all();
+        let zero = |way| WayState {
+            way,
+            tag: 0,
+            valid: false,
+            shared: false,
+            dirty: false,
+            rrpv: 0,
+            stamp: 0,
+        };
+        assert_eq!(c.way_states(0), (0..4).map(zero).collect::<Vec<_>>());
+        // The invalidated line's words are still in the block.
+        assert_eq!(c.slots[0], 0x2A);
+    }
+
+    #[test]
+    fn dropped_set_blocks_are_recycled() {
+        let mut old = SetAssocCache::new(4, 2, PolicyKind::Lru, WayMask::lower(1));
+        for k in 1..=8 {
+            old.access(k, k % 2 == 0, WayMask::all(2), true);
+        }
+        let filled = old.slots.clone();
+        drop(old);
+        let c = SetAssocCache::new(4, 2, PolicyKind::Lru, WayMask::lower(1));
+        assert_eq!(c.slots, filled, "the newest spare block of this size");
+        assert_eq!(c.occupancy(), 0);
+        assert!(c.way_states(3).iter().all(|w| !w.valid && w.tag == 0));
+    }
+
+    #[test]
+    fn spare_list_stays_within_its_bound() {
+        let max_words = SPARE_SLOT_BYTES / std::mem::size_of::<u64>();
+        // Forty 1 MiB blocks: more than the list keeps.
+        for i in 0..40 {
+            let mut block = vec![0u64; 1 << 17];
+            block[0] = i;
+            give_slots(block);
+        }
+        SPARE.with(|spare| {
+            let spare = spare.borrow();
+            assert!(spare.iter().map(Vec::len).sum::<usize>() <= max_words);
+            assert_eq!(spare.last().map(|b| b[0]), Some(39), "newest kept");
+        });
+        give_slots(vec![0; max_words + 1]); // alone over the bound: freed
+        assert_eq!(take_slots(1 << 17)[0], 39);
     }
 
     #[test]

@@ -189,8 +189,12 @@ pub struct WalkTrace {
 impl WalkTrace {
     /// The LLC pass of a walk: looks up every recorded L2 miss in `llc`,
     /// in order, and records whether it hit. Prefetches the LLC sets of
-    /// the misses [`CoreMem::LOOKAHEAD`] records ahead.
+    /// the first [`CoreMem::LOOKAHEAD`] misses before the first lookup,
+    /// then of the miss [`CoreMem::LOOKAHEAD`] records ahead of each.
     pub fn walk_llc(&mut self, llc: &mut Llc) {
+        for miss in self.misses.iter().take(CoreMem::LOOKAHEAD) {
+            llc.prefetch(miss.line);
+        }
         for i in 0..self.misses.len() {
             if let Some(ahead) = self.misses.get(i + CoreMem::LOOKAHEAD) {
                 llc.prefetch(ahead.line);

@@ -1,6 +1,8 @@
 //! Property tests for the cache/TLB simulator.
 
-use hh_mem::{BeladyCache, CacheOp, PolicyKind, SetAssocCache, WayMask};
+use hh_mem::{
+    AccessOutcome, BeladyCache, CacheOp, CacheStats, PolicyKind, SetAssocCache, WayMask, WayState,
+};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -162,5 +164,86 @@ proptest! {
         }
         prop_assert_eq!(c.shared_occupancy_in(harvest.complement(ways)), 1);
         prop_assert_eq!(c.occupancy_in(harvest), 1);
+    }
+}
+
+/// What a cache shows its caller over an op stream.
+#[derive(Debug, PartialEq)]
+enum Seen {
+    Access(AccessOutcome),
+    Dropped(u64),
+    Stats(CacheStats),
+    Ways(Vec<WayState>),
+}
+
+/// Runs `ops` through `c`, recording every access outcome, every
+/// `invalidate_ways` count and `stats()` after each op, then the way
+/// states of every set.
+fn observe(mut c: SetAssocCache, ops: &[CacheOp]) -> Vec<Seen> {
+    let mut seen = Vec::new();
+    for &op in ops {
+        match op {
+            CacheOp::Access {
+                key,
+                shared,
+                write,
+                allowed,
+            } => seen.push(Seen::Access(c.access(key, shared, allowed, write))),
+            CacheOp::InvalidateWays(mask) => seen.push(Seen::Dropped(c.invalidate_ways(mask))),
+            CacheOp::SetHarvestMask(mask) => c.set_harvest_mask(mask),
+        }
+        seen.push(Seen::Stats(c.stats()));
+    }
+    seen.extend((0..c.sets()).map(|set| Seen::Ways(c.way_states(set))));
+    seen
+}
+
+proptest! {
+    /// A cache built on the set blocks of a dropped, filled cache (dirty
+    /// and shared lines included, with tags that collide with the stream's
+    /// keys) behaves exactly like one built on zeroed blocks: same access
+    /// outcomes, flush counts, statistics and way states, under region
+    /// flushes and HarvestMask reloads, on a masked and a `%` set index.
+    #[test]
+    fn recycled_set_blocks_match_fresh_ones(
+        policy in policies(),
+        geometry in prop_oneof![Just((16usize, 8usize)), Just((9, 16)), Just((12, 4))],
+        litter in prop::collection::vec((0u64..1024, any::<bool>(), any::<bool>()), 64..400),
+        raw in prop::collection::vec(
+            (0u8..12, 0u64..512, any::<bool>(), any::<bool>(), 0u8..4),
+            1..300,
+        ),
+    ) {
+        let (sets, ways) = geometry;
+        let harvest = WayMask::lower(ways / 2);
+        let palette = [WayMask::all(ways), harvest, harvest.complement(ways), WayMask::lower(1)];
+        let ops: Vec<CacheOp> = raw
+            .iter()
+            .map(|&(kind, key, shared, write, sel)| {
+                let mask = palette[sel as usize];
+                match kind {
+                    10 => CacheOp::InvalidateWays(mask),
+                    11 => CacheOp::SetHarvestMask(WayMask::lower(key as usize % (ways + 1))),
+                    _ => CacheOp::Access { key, shared, write, allowed: mask },
+                }
+            })
+            .collect();
+
+        let mut old = SetAssocCache::new(sets, ways, policy, harvest);
+        for &(key, shared, write) in &litter {
+            old.access(key, shared, WayMask::all(ways), write);
+        }
+        // Dropping it leaves its set blocks on this thread's spare list,
+        // where the next cache of this geometry takes them.
+        drop(old);
+        let recycled = observe(SetAssocCache::new(sets, ways, policy, harvest), &ops);
+        // A new thread has no spare blocks, so its cache starts zeroed.
+        let fresh_ops = ops.clone();
+        let fresh = std::thread::spawn(move || {
+            observe(SetAssocCache::new(sets, ways, policy, harvest), &fresh_ops)
+        })
+        .join()
+        .expect("fresh-cache thread");
+        prop_assert_eq!(recycled, fresh);
     }
 }

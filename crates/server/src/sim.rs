@@ -1989,6 +1989,48 @@ mod tests {
     }
 
     #[test]
+    fn recycled_storage_changes_no_result() {
+        let hardharvest = || ServerConfig::small(SystemSpec::hardharvest_block());
+        let mut paced = hardharvest();
+        paced.hierarchy.mshrs = Some(4);
+        let mut half = hardharvest();
+        half.capacity_frac = 0.5;
+        let configs = [
+            hardharvest(),
+            ServerConfig::small(SystemSpec::harvest_block()),
+            paced,
+            half,
+        ];
+        // A server takes its caches' set blocks from the ones the last
+        // server of its geometry dropped on the same thread; a new thread
+        // has none, so its server starts on zeroed blocks.
+        let run_after = |first: Option<ServerConfig>, cfg: ServerConfig| {
+            std::thread::spawn(move || {
+                if let Some(first) = first {
+                    ServerSim::new(first).run();
+                }
+                ServerSim::new(cfg).run()
+            })
+            .join()
+            .expect("simulation thread")
+        };
+        for (i, cfg) in configs.iter().enumerate() {
+            // A different system and seed of the same geometry fills the
+            // blocks with other lines first.
+            let mut other = configs[(i + 1) % configs.len()].clone();
+            other.seed ^= 0x5EED;
+            let recycled = run_after(Some(other), cfg.clone());
+            let fresh = run_after(None, cfg.clone());
+            assert_eq!(recycled.summary(), fresh.summary(), "config {i}");
+            assert_eq!(
+                recycled.pooled_latency_ms().values(),
+                fresh.pooled_latency_ms().values(),
+                "config {i}"
+            );
+        }
+    }
+
+    #[test]
     fn invariants_hold_on_a_fresh_server() {
         let sim = ServerSim::new(ServerConfig::small(SystemSpec::hardharvest_block()));
         sim.check_invariants()
