@@ -7,14 +7,17 @@
 //! HH_OUT=results figures        # additionally write results/<id>.txt
 //! HH_TRACE=out.json figures     # also export a Perfetto trace + metrics
 //! ```
+//!
+//! The simulations of every requested id run as one schedule; the tables
+//! print once all of them are done.
 
-use hh_bench::{export_trace, run_figure, scale_from_env, ALL_FIGURES};
+use hh_bench::{export_trace, render_figures, scale_from_env, FIGURES};
 
 fn main() {
     let trace_path = hh_trace::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let ids: Vec<&str> = if args.is_empty() {
-        ALL_FIGURES.to_vec()
+        FIGURES.iter().map(|f| f.id).collect()
     } else {
         args.iter().map(String::as_str).collect()
     };
@@ -27,21 +30,26 @@ fn main() {
         "# scale: {} servers, {} req/VM, {} rps/VM",
         ex.scale.servers, ex.scale.requests_per_vm, ex.scale.rps_per_vm
     );
-    for id in ids {
-        #[expect(
-            clippy::disallowed_types,
-            reason = "figure timing measures host wall time by design; simulated time never flows from it"
-        )]
-        let started = std::time::Instant::now();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "harness timing measures host wall time by design; simulated time never flows from it"
+    )]
+    let started = std::time::Instant::now();
+    let reports = render_figures(&ex, &ids);
+    for (id, report) in ids.iter().zip(&reports) {
         println!("\n===== {id} =====");
-        let report = run_figure(&ex, id);
         println!("{report}");
         if let Some(dir) = &out_dir {
             let path = std::path::Path::new(dir).join(format!("{id}.txt"));
-            std::fs::write(&path, &report).expect("write figure report");
+            std::fs::write(&path, report).expect("write figure report");
         }
-        eprintln!("# {id} took {:.1}s", started.elapsed().as_secs_f64());
     }
+    eprintln!(
+        "# total {:.1} s, {} simulations, {} memo hits",
+        started.elapsed().as_secs_f64(),
+        ex.plan.sims_run(),
+        ex.plan.memo_hits()
+    );
     if let Some(path) = trace_path {
         let summary = export_trace(&path).expect("write HH_TRACE exports");
         eprint!("{summary}");

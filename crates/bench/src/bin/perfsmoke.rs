@@ -1,22 +1,20 @@
-//! Perf smoke harness: times every figure and writes `BENCH_figures.json`.
+//! Perf smoke harness: times the whole figure harness and writes
+//! `BENCH_figures.json`.
 //!
-//! Runs each figure of [`hh_bench::ALL_FIGURES`] once at the `HH_SCALE`
-//! scale (quick by default), records per-figure wall time in
-//! milliseconds, and writes a flat JSON object `{figure: wall_ms, ...,
-//! "total": wall_ms}` so successive PRs have a comparable perf
-//! trajectory. See EXPERIMENTS.md §perf smoke.
+//! Renders every figure of [`hh_bench::FIGURES`] once at the `HH_SCALE`
+//! scale (quick by default), with the simulations of all of them run as
+//! one schedule, exactly as `figures` does. Per-figure times would only
+//! be render times, so the ledger is the harness total plus what explains
+//! it: a flat JSON object `{"total": wall_ms, "sims_run": n,
+//! "memo_hits": n, "workers": n, "host_threads": n}`. See EXPERIMENTS.md
+//! §perf smoke.
 //!
 //! Environment:
 //! * `HH_SCALE` — `quick` (default) | `paper` | `mini`
 //! * `HH_WORKERS` — worker-pool size for the cluster executor
 //! * `HH_BENCH_OUT` — output path (default `BENCH_figures.json`)
 
-use hh_bench::{run_figure, scale_from_env, ALL_FIGURES};
-#[expect(
-    clippy::disallowed_types,
-    reason = "perfsmoke measures host wall time by design; simulated time never flows from it"
-)]
-use std::time::Instant;
+use hh_bench::{render_figures, scale_from_env, FIGURES};
 
 fn main() {
     let ex = scale_from_env();
@@ -26,34 +24,29 @@ fn main() {
         "perfsmoke: {} servers, {} requests/VM, {} rps/VM -> {}",
         ex.scale.servers, ex.scale.requests_per_vm, ex.scale.rps_per_vm, out_path
     );
-
-    let mut timings: Vec<(&str, f64)> = Vec::with_capacity(ALL_FIGURES.len());
+    let ids: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
     #[expect(
         clippy::disallowed_types,
         reason = "perfsmoke measures host wall time by design; simulated time never flows from it"
     )]
-    let total_start = Instant::now();
-    for &id in ALL_FIGURES {
-        #[expect(
-            clippy::disallowed_types,
-            reason = "perfsmoke measures host wall time by design; simulated time never flows from it"
-        )]
-        let start = Instant::now();
-        let table = run_figure(&ex, id);
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        std::hint::black_box(&table);
-        eprintln!("  {id:<10} {ms:>10.1} ms");
-        timings.push((id, ms));
-    }
-    let total_ms = total_start.elapsed().as_secs_f64() * 1e3;
-    eprintln!("  {:<10} {total_ms:>10.1} ms", "total");
-
+    let start = std::time::Instant::now();
+    std::hint::black_box(render_figures(&ex, &ids));
+    let total_ms = start.elapsed().as_secs_f64() * 1e3;
+    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let ledger = [
+        ("total", format!("{total_ms:.1}")),
+        ("sims_run", ex.plan.sims_run().to_string()),
+        ("memo_hits", ex.plan.memo_hits().to_string()),
+        ("workers", ex.plan.workers().to_string()),
+        ("host_threads", host_threads.to_string()),
+    ];
     // Hand-rolled JSON: flat string->number object, one key per line.
-    let mut json = String::from("{\n");
-    for (id, ms) in &timings {
-        json.push_str(&format!("  \"{id}\": {ms:.1},\n"));
+    let mut fields = Vec::with_capacity(ledger.len());
+    for (key, value) in &ledger {
+        eprintln!("  {key:<12} {value:>10}");
+        fields.push(format!("  \"{key}\": {value}"));
     }
-    json.push_str(&format!("  \"total\": {total_ms:.1}\n}}\n"));
+    let json = format!("{{\n{}\n}}\n", fields.join(",\n"));
     std::fs::write(&out_path, json).expect("write BENCH_figures.json");
     println!("wrote {out_path}");
 }

@@ -5,10 +5,10 @@
 //! machines whose latency is injected — so the 8 servers simulate in
 //! parallel on real threads, exactly like the paper parallelizes its SST
 //! instances (Section 5). Scheduling and result reuse live in
-//! [`crate::RunPlan`]; the free functions here run on the process-wide
+//! [`crate::RunPlan`]; the free [`run_cluster`] runs on the process-wide
 //! executor.
 
-use hh_server::{ServerConfig, ServerMetrics, SystemSpec};
+use hh_server::{ServerMetrics, SystemSpec};
 use hh_sim::stats::Samples;
 use serde::Serialize;
 
@@ -26,6 +26,16 @@ pub struct Scale {
 }
 
 impl Scale {
+    /// The smallest smoke scale: one server, enough requests for every
+    /// figure path to run (the `results/mini` goldens).
+    pub fn mini() -> Self {
+        Scale {
+            servers: 1,
+            requests_per_vm: 60,
+            rps_per_vm: 800.0,
+        }
+    }
+
     /// Fast runs for tests and smoke checks (~seconds).
     pub fn quick() -> Self {
         Scale {
@@ -147,27 +157,17 @@ impl ClusterMetrics {
     }
 }
 
-/// Runs one cluster on the process-wide [`RunPlan`]. The `tweak` hook lets
-/// experiments adjust knobs (LLC size, capacity fraction, …); identical
-/// requests are served from the executor's memo table.
-pub fn run_cluster_with(
-    system: SystemSpec,
-    scale: Scale,
-    seed: u64,
-    tweak: impl Fn(&mut ServerConfig) + Sync,
-) -> ClusterMetrics {
-    RunPlan::global().run_cluster_with(system, scale, seed, tweak)
-}
-
-/// Runs a cluster with stock Table 1 knobs.
+/// Runs a cluster with stock Table 1 knobs on the process-wide
+/// [`RunPlan`]; identical requests are served from its memo table.
 pub fn run_cluster(system: SystemSpec, scale: Scale, seed: u64) -> ClusterMetrics {
-    run_cluster_with(system, scale, seed, |_| {})
+    RunPlan::global().run_cluster(system, scale, seed)
 }
 
 #[cfg(test)]
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use crate::{resolved_configs, Run, Tweak};
 
     fn tiny() -> Scale {
         Scale {
@@ -187,10 +187,21 @@ mod tests {
 
     #[test]
     fn tweak_hook_applies() {
-        let m = run_cluster_with(SystemSpec::no_harvest(), tiny(), 2, |cfg| {
-            cfg.requests_per_vm = 30;
-        });
-        assert_eq!(m.completed(), 2 * 8 * 30);
+        let base = Run::stock(SystemSpec::no_harvest(), tiny(), 2);
+        let tweaked = Run {
+            tweak: Tweak::Mshrs(Some(8)),
+            ..base
+        };
+        let configs = resolved_configs(tweaked.system, tiny(), 2, |cfg| tweaked.tweak.apply(cfg));
+        assert!(configs.iter().all(|cfg| cfg.hierarchy.mshrs == Some(8)));
+        let plan = RunPlan::with_workers(2);
+        let out = plan.run_all(&[base, tweaked]);
+        assert_eq!(
+            plan.sims_run(),
+            2,
+            "the tweaked run must not alias the stock one"
+        );
+        assert_eq!(out[1].completed(), 2 * 8 * 60);
     }
 
     #[test]

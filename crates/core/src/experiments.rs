@@ -1,8 +1,12 @@
 //! One runner per table/figure in the paper's evaluation.
 //!
-//! Each `figN` method runs the simulations that figure needs and returns a
-//! typed result that renders to the same rows/series the paper plots. The
-//! index in `DESIGN.md` maps every method to its figure.
+//! Each figure that simulates declares its cluster simulations as data in
+//! a `*_runs` method; its `figN` method reads them through
+//! [`RunPlan::run_all`] and returns a typed result that renders to the
+//! same rows/series the paper plots. The harness runs the `*_runs` of
+//! every figure it renders as one schedule first, so the `figN` methods
+//! then recall their runs from the memo. The index in `DESIGN.md` maps
+//! every method to its figure.
 
 use hh_hwqueue::storage::StorageCost;
 use hh_server::{ServerConfig, SystemSpec};
@@ -10,7 +14,7 @@ use hh_workload::trace::TraceSet;
 use hh_workload::ServiceCatalog;
 use serde::Serialize;
 
-use crate::{ClusterMetrics, PolicyHitRates, ReplacementLab, RunPlan, Scale, Table};
+use crate::{ClusterMetrics, PolicyHitRates, ReplacementLab, Run, RunPlan, Scale, Table, Tweak};
 
 /// Service names in figure order.
 fn service_names() -> Vec<&'static str> {
@@ -47,13 +51,21 @@ pub struct LatencyRow {
 }
 
 impl LatencyFigure {
-    fn from_runs(title: String, metric: &'static str, runs: Vec<(String, ClusterMetrics)>) -> Self {
+    /// One row per run, labelled by the run, from the metrics
+    /// [`RunPlan::run_all`] returned for `runs`.
+    fn from_runs(
+        title: &str,
+        metric: &'static str,
+        runs: &[Run],
+        metrics: &[ClusterMetrics],
+    ) -> Self {
         let q = if metric == "Median" { 0.5 } else { 0.99 };
         let services = service_names();
         let rows = runs
-            .into_iter()
-            .map(|(label, m)| LatencyRow {
-                label,
+            .iter()
+            .zip(metrics)
+            .map(|(run, m)| LatencyRow {
+                label: run.label.to_string(),
                 per_service_ms: (0..services.len())
                     .map(|s| m.service_latency_ms(s).percentile(q))
                     .collect(),
@@ -61,7 +73,7 @@ impl LatencyFigure {
             })
             .collect();
         LatencyFigure {
-            title,
+            title: title.into(),
             metric,
             services,
             rows,
@@ -224,28 +236,6 @@ impl ThroughputFigure {
     }
 }
 
-/// Runs one closure per figure row on its own thread, so every row's
-/// per-server jobs reach the executor's worker pool together. Rows come
-/// back in input order regardless of completion order, keeping rendered
-/// tables deterministic.
-fn par_rows<I, F>(items: Vec<I>, run: F) -> Vec<(String, ClusterMetrics)>
-where
-    I: Send,
-    F: Fn(I) -> (String, ClusterMetrics) + Sync,
-{
-    std::thread::scope(|scope| {
-        let run = &run;
-        let handles: Vec<_> = items
-            .into_iter()
-            .map(|item| scope.spawn(move || run(item)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("figure row panicked"))
-            .collect()
-    })
-}
-
 /// The experiment runner: all figures at one [`Scale`].
 #[derive(Debug, Clone, Copy)]
 pub struct Experiments {
@@ -281,25 +271,24 @@ impl Experiments {
         Experiments { plan, ..self }
     }
 
-    /// Runs or recalls one cluster on this runner's executor.
-    fn cluster(&self, system: SystemSpec) -> ClusterMetrics {
-        self.plan.run_cluster(system, self.scale, self.seed)
+    /// Stock runs of `systems` at this scale and seed.
+    fn runs(&self, systems: Vec<SystemSpec>) -> Vec<Run> {
+        systems
+            .into_iter()
+            .map(|s| Run::stock(s, self.scale, self.seed))
+            .collect()
     }
 
-    fn latency_fig(
-        &self,
-        title: &str,
-        metric: &'static str,
-        systems: Vec<SystemSpec>,
-        tweak: impl Fn(&mut ServerConfig) + Sync + Copy,
-    ) -> LatencyFigure {
-        let runs = par_rows(systems, |s| {
-            (
-                s.name.to_string(),
-                self.plan.run_cluster_with(s, self.scale, self.seed, tweak),
-            )
-        });
-        LatencyFigure::from_runs(title.into(), metric, runs)
+    /// One run of `system` per `(label, tweak)` variant.
+    fn sweep(&self, system: SystemSpec, variants: &[(&'static str, Tweak)]) -> Vec<Run> {
+        variants
+            .iter()
+            .map(|&(label, tweak)| Run {
+                label,
+                tweak,
+                ..Run::stock(system, self.scale, self.seed)
+            })
+            .collect()
     }
 
     /// Figure 2: utilization CDFs of a synthetic Alibaba-like population.
@@ -317,9 +306,9 @@ impl Experiments {
         set.representative().samples().to_vec()
     }
 
-    /// Figure 4: tail latency under hypervisor reassignment overheads only
-    /// (no flushing, idle Harvest VM).
-    pub fn fig4(&self) -> LatencyFigure {
+    /// The runs of [`Experiments::fig4`]: hypervisor reassignment
+    /// overheads only (no flushing, idle Harvest VM).
+    pub fn fig4_runs(&self) -> Vec<Run> {
         use hh_server::{HarvestMode, SwReassign};
         let mk = |name: &'static str, mode, sw| {
             let mut s = match mode {
@@ -338,35 +327,28 @@ impl Experiments {
             s.max_loaned_per_vm = if matches!(sw, SwReassign::Kvm) { 1 } else { 4 };
             s
         };
-        let systems = vec![
+        self.runs(vec![
             SystemSpec::no_harvest_named("No-Move"),
-            mk(
-                "KVM-Term",
-                hh_server::HarvestMode::OnTermination,
-                SwReassign::Kvm,
-            ),
-            mk(
-                "KVM-Block",
-                hh_server::HarvestMode::OnBlock,
-                SwReassign::Kvm,
-            ),
+            mk("KVM-Term", HarvestMode::OnTermination, SwReassign::Kvm),
+            mk("KVM-Block", HarvestMode::OnBlock, SwReassign::Kvm),
             mk(
                 "Opt-Term",
-                hh_server::HarvestMode::OnTermination,
+                HarvestMode::OnTermination,
                 SwReassign::Optimized,
             ),
-            mk(
-                "Opt-Block",
-                hh_server::HarvestMode::OnBlock,
-                SwReassign::Optimized,
-            ),
-        ];
-        self.latency_fig("Figure 4", "P99", systems, |_| {})
+            mk("Opt-Block", HarvestMode::OnBlock, SwReassign::Optimized),
+        ])
     }
 
-    /// Figure 5: tail latency under cache/TLB flushing (Flush-*) and
-    /// flushing plus optimized reassignment (Harvest-*); Harvest VM idle.
-    pub fn fig5(&self) -> LatencyFigure {
+    /// Figure 4: tail latency under hypervisor reassignment overheads only
+    /// (no flushing, idle Harvest VM).
+    pub fn fig4(&self) -> LatencyFigure {
+        let runs = self.fig4_runs();
+        LatencyFigure::from_runs("Figure 4", "P99", &runs, &self.plan.run_all(&runs))
+    }
+
+    /// The runs of [`Experiments::fig5`].
+    pub fn fig5_runs(&self) -> Vec<Run> {
         let mk = |name: &'static str, block: bool, reassign: bool| {
             let mut s = if block {
                 SystemSpec::harvest_block()
@@ -382,30 +364,40 @@ impl Experiments {
             s.max_loaned_per_vm = 4;
             s
         };
-        let systems = vec![
+        self.runs(vec![
             SystemSpec::no_harvest_named("No Flush"),
             mk("Flush-Term", false, false),
             mk("Flush-Block", true, false),
             mk("Harvest-Term", false, true),
             mk("Harvest-Block", true, true),
-        ];
-        self.latency_fig("Figure 5", "P99", systems, |_| {})
+        ])
     }
 
-    /// Figure 6: single-request execution-time breakdown at light load,
-    /// under the Section 3 characterization environment (per-event moves
-    /// with optimized reassignment plus full flushing, like Figure 5's
+    /// Figure 5: tail latency under cache/TLB flushing (Flush-*) and
+    /// flushing plus optimized reassignment (Harvest-*); Harvest VM idle.
+    pub fn fig5(&self) -> LatencyFigure {
+        let runs = self.fig5_runs();
+        LatencyFigure::from_runs("Figure 5", "P99", &runs, &self.plan.run_all(&runs))
+    }
+
+    /// The runs of [`Experiments::fig6`], at light load: `NoHarvest`, then
+    /// the Section 3 characterization environment (per-event moves with
+    /// optimized reassignment plus full flushing, like Figure 5's
     /// Harvest-Block).
-    pub fn fig6(&self) -> BreakdownFigure {
-        let scale = self.scale.light_load();
-        let base = self
-            .plan
-            .run_cluster(SystemSpec::no_harvest(), scale, self.seed);
+    pub fn fig6_runs(&self) -> Vec<Run> {
         let mut sys = SystemSpec::harvest_block();
         sys.harvest_busy = true;
         sys.buffer_cores = 0;
         sys.max_loaned_per_vm = 4;
-        let harv = self.plan.run_cluster(sys, scale, self.seed);
+        [SystemSpec::no_harvest(), sys]
+            .map(|s| Run::stock(s, self.scale.light_load(), self.seed))
+            .to_vec()
+    }
+
+    /// Figure 6: single-request execution-time breakdown at light load.
+    pub fn fig6(&self) -> BreakdownFigure {
+        let runs = self.plan.run_all(&self.fig6_runs());
+        let (base, harv) = (&runs[0], &runs[1]);
         let services = service_names();
         let n = services.len();
         let mut fig = BreakdownFigure {
@@ -433,8 +425,8 @@ impl Experiments {
                 let d = done.max(1) as f64;
                 ((exec + io) / d, reassign / d, flush / d)
             };
-            let (b_exec, _, _) = collect(&base);
-            let (h_exec, h_re, h_fl) = collect(&harv);
+            let (b_exec, _, _) = collect(base);
+            let (h_exec, h_re, h_fl) = collect(harv);
             fig.no_harvest_ms.push(b_exec);
             fig.reassign_ms.push(h_re);
             fig.flush_ms.push(h_fl);
@@ -443,44 +435,60 @@ impl Experiments {
         fig
     }
 
+    /// The runs of [`Experiments::fig7`].
+    pub fn fig7_runs(&self) -> Vec<Run> {
+        let cap = |frac, infinite| Tweak::Capacity { frac, infinite };
+        self.sweep(
+            SystemSpec::no_harvest(),
+            &[
+                ("Inf", cap(1.0, true)),
+                ("100%", cap(1.0, false)),
+                ("75%", cap(0.75, false)),
+                ("50%", cap(0.5, false)),
+                ("25%", cap(0.25, false)),
+            ],
+        )
+    }
+
     /// Figure 7: tail latency with a fraction of the cache/TLB hierarchy
     /// (Inf / 100 % / 75 % / 50 % / 25 % of the ways).
     pub fn fig7(&self) -> LatencyFigure {
-        let variants: [(&'static str, f64, bool); 5] = [
-            ("Inf", 1.0, true),
-            ("100%", 1.0, false),
-            ("75%", 0.75, false),
-            ("50%", 0.5, false),
-            ("25%", 0.25, false),
-        ];
-        let runs = par_rows(variants.to_vec(), |(label, frac, inf)| {
-            let m = self.plan.run_cluster_with(
-                SystemSpec::no_harvest(),
-                self.scale,
-                self.seed,
-                move |cfg| {
-                    cfg.capacity_frac = frac;
-                    cfg.infinite_cache = inf;
-                },
-            );
-            (label.to_string(), m)
-        });
-        LatencyFigure::from_runs("Figure 7".into(), "P99", runs)
+        let runs = self.fig7_runs();
+        LatencyFigure::from_runs("Figure 7", "P99", &runs, &self.plan.run_all(&runs))
+    }
+
+    /// The runs of Figures 11, 16 and 17 and the utilization study: the
+    /// five evaluated systems.
+    pub fn five_runs(&self) -> Vec<Run> {
+        self.runs(SystemSpec::evaluated_five())
     }
 
     /// Figure 11: the headline P99 comparison of the five systems.
     pub fn fig11(&self) -> LatencyFigure {
-        self.latency_fig("Figure 11", "P99", SystemSpec::evaluated_five(), |_| {})
+        let runs = self.five_runs();
+        LatencyFigure::from_runs("Figure 11", "P99", &runs, &self.plan.run_all(&runs))
+    }
+
+    /// The runs of [`Experiments::fig12`].
+    pub fn fig12_runs(&self) -> Vec<Run> {
+        self.runs(SystemSpec::fig12_ladder())
     }
 
     /// Figure 12: the cumulative optimization ladder on Harvest-Block.
     pub fn fig12(&self) -> LatencyFigure {
-        self.latency_fig("Figure 12", "P99", SystemSpec::fig12_ladder(), |_| {})
+        let runs = self.fig12_runs();
+        LatencyFigure::from_runs("Figure 12", "P99", &runs, &self.plan.run_all(&runs))
+    }
+
+    /// The runs of [`Experiments::fig13`].
+    pub fn fig13_runs(&self) -> Vec<Run> {
+        self.runs(SystemSpec::fig13_ablation())
     }
 
     /// Figure 13: Sched/CtxtSw ablation.
     pub fn fig13(&self) -> LatencyFigure {
-        self.latency_fig("Figure 13", "P99", SystemSpec::fig13_ablation(), |_| {})
+        let runs = self.fig13_runs();
+        LatencyFigure::from_runs("Figure 13", "P99", &runs, &self.plan.run_all(&runs))
     }
 
     /// Figure 14: L2 hit rate under LRU/RRIP/HardHarvest/Belady.
@@ -488,29 +496,37 @@ impl Experiments {
         ReplacementLab::default().run()
     }
 
+    /// The runs of [`Experiments::fig15`].
+    pub fn fig15_runs(&self) -> Vec<Run> {
+        self.runs(SystemSpec::fig15_ladder())
+    }
+
     /// Figure 15: the optimization ladder without core harvesting.
     pub fn fig15(&self) -> LatencyFigure {
-        self.latency_fig("Figure 15", "P99", SystemSpec::fig15_ladder(), |_| {})
+        let runs = self.fig15_runs();
+        LatencyFigure::from_runs("Figure 15", "P99", &runs, &self.plan.run_all(&runs))
     }
 
     /// Figure 16: median latency of the five systems.
     pub fn fig16(&self) -> LatencyFigure {
-        self.latency_fig("Figure 16", "Median", SystemSpec::evaluated_five(), |_| {})
+        let runs = self.five_runs();
+        LatencyFigure::from_runs("Figure 16", "Median", &runs, &self.plan.run_all(&runs))
     }
 
     /// Figure 17: Harvest-VM throughput normalized to NoHarvest.
     pub fn fig17(&self) -> ThroughputFigure {
-        let systems = SystemSpec::evaluated_five();
+        let runs = self.five_runs();
+        let metrics = self.plan.run_all(&runs);
         let jobs: Vec<&'static str> = hh_workload::BatchCatalog::paper()
             .iter()
             .map(|j| j.name)
             .take(self.scale.servers)
             .collect();
-        let runs = par_rows(systems, |s| (s.name.to_string(), self.cluster(s)));
-        let base = &runs[0].1;
+        let base = &metrics[0];
         let rows = runs
             .iter()
-            .map(|(name, m)| {
+            .zip(&metrics)
+            .map(|(run, m)| {
                 let vals: Vec<f64> = (0..jobs.len())
                     .map(|i| {
                         let b = base.batch_throughput(i).max(1e-9);
@@ -518,7 +534,7 @@ impl Experiments {
                     })
                     .collect();
                 let avg = vals.iter().sum::<f64>() / vals.len() as f64;
-                (name.clone(), vals, avg)
+                (run.label.to_string(), vals, avg)
             })
             .collect();
         ThroughputFigure { jobs, rows }
@@ -526,12 +542,11 @@ impl Experiments {
 
     /// Section 6.7: average busy cores of the five systems.
     pub fn utilization(&self) -> Vec<(String, f64)> {
-        par_rows(SystemSpec::evaluated_five(), |s| {
-            (s.name.to_string(), self.cluster(s))
-        })
-        .into_iter()
-        .map(|(name, m)| (name, m.avg_busy_cores()))
-        .collect()
+        let runs = self.five_runs();
+        runs.iter()
+            .zip(self.plan.run_all(&runs))
+            .map(|(run, m)| (run.label.to_string(), m.avg_busy_cores()))
+            .collect()
     }
 
     /// Section 6.8: storage/area/power accounting.
@@ -539,39 +554,53 @@ impl Experiments {
         StorageCost::paper()
     }
 
+    /// The runs of [`Experiments::fig18`].
+    pub fn fig18_runs(&self) -> Vec<Run> {
+        self.sweep(
+            SystemSpec::hardharvest_block(),
+            &[
+                ("2.5MB/core", Tweak::LlcPerCoreBytes(2_621_440)),
+                ("2MB/core", Tweak::LlcPerCoreBytes(2_097_152)),
+                ("1MB/core", Tweak::LlcPerCoreBytes(1_048_576)),
+                ("0.5MB/core", Tweak::LlcPerCoreBytes(524_288)),
+            ],
+        )
+    }
+
     /// Figure 18: LLC-size sensitivity of HardHarvest-Block.
     pub fn fig18(&self) -> LatencyFigure {
-        let sizes = [
-            ("2.5MB/core", 2_621_440usize),
-            ("2MB/core", 2_097_152),
-            ("1MB/core", 1_048_576),
-            ("0.5MB/core", 524_288),
-        ];
-        let runs = par_rows(sizes.to_vec(), |(label, bytes)| {
-            let m = self.plan.run_cluster_with(
-                SystemSpec::hardharvest_block(),
-                self.scale,
-                self.seed,
-                move |cfg| cfg.llc.per_core_bytes = bytes,
-            );
-            (label.to_string(), m)
-        });
-        LatencyFigure::from_runs("Figure 18".into(), "P99", runs)
+        let runs = self.fig18_runs();
+        LatencyFigure::from_runs("Figure 18", "P99", &runs, &self.plan.run_all(&runs))
+    }
+
+    /// The runs of [`Experiments::fig19`].
+    pub fn fig19_runs(&self) -> Vec<Run> {
+        self.sweep(
+            SystemSpec::hardharvest_block(),
+            &[
+                ("25%", Tweak::EvictionCandidates(0.25)),
+                ("50%", Tweak::EvictionCandidates(0.5)),
+                ("75%", Tweak::EvictionCandidates(0.75)),
+                ("100%", Tweak::EvictionCandidates(1.0)),
+            ],
+        )
     }
 
     /// Figure 19: eviction-candidate-set-size sensitivity.
     pub fn fig19(&self) -> LatencyFigure {
-        let fracs = [("25%", 0.25), ("50%", 0.5), ("75%", 0.75), ("100%", 1.0)];
-        let runs = par_rows(fracs.to_vec(), |(label, f)| {
-            let m = self.plan.run_cluster_with(
-                SystemSpec::hardharvest_block(),
-                self.scale,
-                self.seed,
-                move |cfg| cfg.eviction_candidate_frac = Some(f),
-            );
-            (label.to_string(), m)
-        });
-        LatencyFigure::from_runs("Figure 19".into(), "P99", runs)
+        let runs = self.fig19_runs();
+        LatencyFigure::from_runs("Figure 19", "P99", &runs, &self.plan.run_all(&runs))
+    }
+
+    /// The runs of [`Experiments::adaptive`]: the `NoHarvest` baseline,
+    /// then the three HardHarvest modes.
+    pub fn adaptive_runs(&self) -> Vec<Run> {
+        self.runs(vec![
+            SystemSpec::no_harvest(),
+            SystemSpec::hardharvest_term(),
+            SystemSpec::hardharvest_adaptive(),
+            SystemSpec::hardharvest_block(),
+        ])
     }
 
     /// Extension (paper Section 4.1.5 future work): adaptive harvesting —
@@ -579,9 +608,10 @@ impl Experiments {
     /// P99 and normalized Harvest throughput of HH-Term / HH-Adaptive /
     /// HH-Block.
     pub fn adaptive(&self) -> Table {
-        let base = self.cluster(SystemSpec::no_harvest());
+        let runs = self.adaptive_runs();
+        let metrics = self.plan.run_all(&runs);
         let base_thpt: f64 = (0..self.scale.servers)
-            .map(|i| base.batch_throughput(i))
+            .map(|i| metrics[0].batch_throughput(i))
             .sum::<f64>()
             .max(1e-9);
         let mut t = Table::new(vec![
@@ -590,16 +620,11 @@ impl Experiments {
             "norm. batch thpt".into(),
             "reassignments".into(),
         ]);
-        for s in [
-            SystemSpec::hardharvest_term(),
-            SystemSpec::hardharvest_adaptive(),
-            SystemSpec::hardharvest_block(),
-        ] {
-            let m = self.cluster(s);
+        for (run, m) in runs.iter().zip(&metrics).skip(1) {
             let thpt: f64 = (0..self.scale.servers).map(|i| m.batch_throughput(i)).sum();
             let reassigns: u64 = m.servers().iter().map(|sv| sv.reassignments).sum();
             t.row(vec![
-                s.name.into(),
+                run.label.into(),
                 format!("{:.3}", m.pooled_latency_ms().p99()),
                 format!("{:.3}", thpt / base_thpt),
                 reassigns.to_string(),
@@ -608,24 +633,41 @@ impl Experiments {
         t
     }
 
+    /// The runs of [`Experiments::region_sweep`].
+    pub fn region_runs(&self) -> Vec<Run> {
+        self.sweep(
+            SystemSpec::hardharvest_block(),
+            &[
+                ("1/3 ways", Tweak::HarvestFrac(1.0 / 3.0)),
+                ("1/2 ways", Tweak::HarvestFrac(0.5)),
+                ("2/3 ways", Tweak::HarvestFrac(2.0 / 3.0)),
+            ],
+        )
+    }
+
     /// Ablation (Section 4.2.1 design choice): size of the harvest region
     /// — 1/3, 1/2 or 2/3 of the ways of every private structure.
     pub fn region_sweep(&self) -> LatencyFigure {
-        let fracs = [
-            ("1/3 ways", 1.0 / 3.0),
-            ("1/2 ways", 0.5),
-            ("2/3 ways", 2.0 / 3.0),
-        ];
-        let runs = par_rows(fracs.to_vec(), |(label, f)| {
-            let m = self.plan.run_cluster_with(
-                SystemSpec::hardharvest_block(),
-                self.scale,
-                self.seed,
-                move |cfg| cfg.harvest_frac = f,
-            );
-            (label.to_string(), m)
-        });
-        LatencyFigure::from_runs("Harvest-region sweep (extension)".into(), "P99", runs)
+        let runs = self.region_runs();
+        LatencyFigure::from_runs(
+            "Harvest-region sweep (extension)",
+            "P99",
+            &runs,
+            &self.plan.run_all(&runs),
+        )
+    }
+
+    /// The runs of [`Experiments::overflow_pressure`], labelled by chunk
+    /// count.
+    pub fn overflow_runs(&self) -> Vec<Run> {
+        self.sweep(
+            SystemSpec::hardharvest_block(),
+            &[
+                ("32", Tweak::RqChunks(32)),
+                ("16", Tweak::RqChunks(16)),
+                ("9", Tweak::RqChunks(9)),
+            ],
+        )
     }
 
     /// Ablation (Section 4.1.7 design choice): RQ sized down to force
@@ -636,16 +678,11 @@ impl Experiments {
             "P99 [ms]".into(),
             "overflowed requests".into(),
         ]);
-        for chunks in [32usize, 16, 9] {
-            let m = self.plan.run_cluster_with(
-                SystemSpec::hardharvest_block(),
-                self.scale,
-                self.seed,
-                move |cfg| cfg.rq_chunks = chunks,
-            );
+        let runs = self.overflow_runs();
+        for (run, m) in runs.iter().zip(self.plan.run_all(&runs)) {
             let overflows: u64 = m.servers().iter().map(|s| s.queue_overflows).sum();
             t.row(vec![
-                chunks.to_string(),
+                run.label.into(),
                 format!("{:.3}", m.pooled_latency_ms().p99()),
                 overflows.to_string(),
             ]);
@@ -653,24 +690,28 @@ impl Experiments {
         t
     }
 
+    /// The runs of [`Experiments::mshr_sweep`].
+    pub fn mshr_runs(&self) -> Vec<Run> {
+        self.sweep(
+            SystemSpec::hardharvest_block(),
+            &[
+                ("no-MSHR model", Tweak::Mshrs(None)),
+                ("32 MSHRs", Tweak::Mshrs(Some(32))),
+                ("8 MSHRs", Tweak::Mshrs(Some(8))),
+            ],
+        )
+    }
+
     /// Ablation (model fidelity): flat-latency memory model vs explicit
     /// MSHR modeling (Table 1: 32 MSHRs) at two MSHR depths.
     pub fn mshr_sweep(&self) -> LatencyFigure {
-        let variants: [(&'static str, Option<usize>); 3] = [
-            ("no-MSHR model", None),
-            ("32 MSHRs", Some(32)),
-            ("8 MSHRs", Some(8)),
-        ];
-        let runs = par_rows(variants.to_vec(), |(label, mshrs)| {
-            let m = self.plan.run_cluster_with(
-                SystemSpec::hardharvest_block(),
-                self.scale,
-                self.seed,
-                move |cfg| cfg.hierarchy.mshrs = mshrs,
-            );
-            (label.to_string(), m)
-        });
-        LatencyFigure::from_runs("MSHR-model sweep (extension)".into(), "P99", runs)
+        let runs = self.mshr_runs();
+        LatencyFigure::from_runs(
+            "MSHR-model sweep (extension)",
+            "P99",
+            &runs,
+            &self.plan.run_all(&runs),
+        )
     }
 
     /// Table 1: the modeled architectural parameters.

@@ -8,11 +8,13 @@
 //! run is keyed by its fully-resolved per-server [`ServerConfig`]s, so
 //! any two requests that would simulate the same thing share one result.
 //!
-//! Per-server [`ServerSim`] jobs from *all* concurrent cluster runs are
-//! scheduled onto one bounded pool of OS threads (default:
-//! `available_parallelism`, overridable with `HH_WORKERS`), so a figure
-//! with five rows × N servers keeps every core busy without oversubscribing
-//! the machine. Results are collected by server index and merged in config
+//! A figure declares its simulations as data, one [`Run`] per row, and
+//! [`RunPlan::run_all`] is the one fan-out: the harness hands it the runs
+//! of every figure it renders as one schedule. Per-server [`ServerSim`]
+//! jobs from *all* requested cluster runs go to one bounded pool of OS
+//! threads (default: `available_parallelism`, overridable with
+//! `HH_WORKERS`), so the pool stays busy without oversubscribing the
+//! machine. Results are collected by server index and merged in config
 //! order, which makes every metric bit-identical regardless of the worker
 //! count or scheduling interleaving.
 
@@ -175,49 +177,57 @@ impl RunPlan {
         self.memo_hits.load(Ordering::Relaxed)
     }
 
-    /// Runs (or recalls) a cluster under `system` with per-server config
-    /// tweaks. Equivalent requests — same resolved configs — simulate once.
-    pub fn run_cluster_with(
-        &self,
-        system: SystemSpec,
-        scale: Scale,
-        seed: u64,
-        tweak: impl Fn(&mut ServerConfig),
-    ) -> ClusterMetrics {
+    /// Runs (or recalls) every request at once and returns their metrics
+    /// in request order. Each request waits on its own scoped thread, so
+    /// the per-server jobs of all of them reach the worker pool together;
+    /// requests that resolve to one memo key simulate once.
+    pub fn run_all(&self, runs: &[Run]) -> Vec<ClusterMetrics> {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = runs
+                .iter()
+                .map(|run| scope.spawn(move || self.run(run)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        })
+    }
+
+    /// Runs (or recalls) a cluster with stock Table 1 knobs.
+    pub fn run_cluster(&self, system: SystemSpec, scale: Scale, seed: u64) -> ClusterMetrics {
+        self.run(&Run::stock(system, scale, seed))
+    }
+
+    /// The single-run path: simulates `run` on a memo miss, else recalls
+    /// it. A request that finds its cell initialized, or waits while
+    /// another request simulates it, counts as a memo hit.
+    fn run(&self, run: &Run) -> ClusterMetrics {
         let traced = hh_trace::enabled();
         let t0 = if traced {
             hh_trace::exec::wall_us()
         } else {
             0.0
         };
-        let configs = resolved_configs(system, scale, seed, tweak);
-        let cell = self.memo.cell(&memo_key(system, &configs));
-        if let Some(hit) = cell.get() {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            if traced {
-                hh_trace::exec::record_span(cluster_span_label(system, seed), t0, true);
-            }
-            return hit.clone();
-        }
+        let configs = resolved_configs(run.system, run.scale, run.seed, |cfg| {
+            run.tweak.apply(cfg);
+        });
+        let cell = self.memo.cell(&memo_key(run.system, &configs));
         let mut simulated = false;
         let out = cell
             .get_or_init(|| {
                 simulated = true;
                 self.sims_run.fetch_add(1, Ordering::Relaxed);
-                self.simulate(system, configs)
+                self.simulate(run.system, configs)
             })
             .clone();
+        if !simulated {
+            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+        }
         if traced {
-            // A racing thread may have initialized the cell first; that
-            // still counts as a memo hit from this caller's perspective.
-            hh_trace::exec::record_span(cluster_span_label(system, seed), t0, !simulated);
+            hh_trace::exec::record_span(cluster_span_label(run.system, run.seed), t0, !simulated);
         }
         out
-    }
-
-    /// Runs (or recalls) a cluster with stock Table 1 knobs.
-    pub fn run_cluster(&self, system: SystemSpec, scale: Scale, seed: u64) -> ClusterMetrics {
-        self.run_cluster_with(system, scale, seed, |_| {})
     }
 
     /// Fans the per-server jobs out to the pool and reassembles the
@@ -275,10 +285,11 @@ fn cluster_span_label(system: SystemSpec, seed: u64) -> String {
     format!("{} seed={seed:#x}", system.name)
 }
 
-/// Resolves the per-server configurations of one cluster run, applying the
-/// experiment's tweak hook to each. This is exactly what [`RunPlan`] would
-/// simulate for the same arguments — public so the `hh-check` serial
-/// reference executor can replay identical configs outside the pool.
+/// Resolves the per-server configurations of one cluster run, applying
+/// `tweak` to each; a [`Run`] resolves with `|cfg| run.tweak.apply(cfg)`.
+/// This is exactly what [`RunPlan`] simulates for the same arguments —
+/// public so the `hh-check` serial reference executor and the benchmark
+/// can replay identical configs outside the pool.
 pub fn resolved_configs(
     system: SystemSpec,
     scale: Scale,
@@ -296,6 +307,78 @@ pub fn resolved_configs(
             cfg
         })
         .collect()
+}
+
+/// One cluster simulation a figure reads: a system at a scale and seed,
+/// with at most one knob moved off its Table 1 value, and the row label
+/// the figure prints for it. The label is not part of the memo key.
+#[derive(Debug, Clone, Copy)]
+pub struct Run {
+    /// Row label in the figure.
+    pub label: &'static str,
+    /// The evaluated system; its name is part of the memo key.
+    pub system: SystemSpec,
+    /// Run size.
+    pub scale: Scale,
+    /// Master seed.
+    pub seed: u64,
+    /// The knob the figure varies.
+    pub tweak: Tweak,
+}
+
+impl Run {
+    /// `system` with stock Table 1 knobs, labelled by its name.
+    pub(crate) fn stock(system: SystemSpec, scale: Scale, seed: u64) -> Run {
+        Run {
+            label: system.name,
+            system,
+            scale,
+            seed,
+            tweak: Tweak::None,
+        }
+    }
+}
+
+/// The one per-server knob a figure varies away from Table 1.
+#[derive(Debug, Clone, Copy)]
+pub enum Tweak {
+    /// Table 1 as is.
+    None,
+    /// Figure 7: a fraction of every cache/TLB's ways, or infinite caches.
+    Capacity {
+        /// Fraction of the ways kept.
+        frac: f64,
+        /// Whether every access hits.
+        infinite: bool,
+    },
+    /// Figure 18: LLC bytes per core.
+    LlcPerCoreBytes(usize),
+    /// Figure 19: fraction of ways in the eviction-candidate set.
+    EvictionCandidates(f64),
+    /// Harvest-region sweep: fraction of each private structure's ways.
+    HarvestFrac(f64),
+    /// Overflow study: RQ chunks.
+    RqChunks(usize),
+    /// MSHR sweep: MSHRs per core, `None` for the flat-latency model.
+    Mshrs(Option<usize>),
+}
+
+impl Tweak {
+    /// Moves this knob on one server's config.
+    pub fn apply(self, cfg: &mut ServerConfig) {
+        match self {
+            Tweak::None => {}
+            Tweak::Capacity { frac, infinite } => {
+                cfg.capacity_frac = frac;
+                cfg.infinite_cache = infinite;
+            }
+            Tweak::LlcPerCoreBytes(bytes) => cfg.llc.per_core_bytes = bytes,
+            Tweak::EvictionCandidates(frac) => cfg.eviction_candidate_frac = Some(frac),
+            Tweak::HarvestFrac(frac) => cfg.harvest_frac = frac,
+            Tweak::RqChunks(chunks) => cfg.rq_chunks = chunks,
+            Tweak::Mshrs(mshrs) => cfg.hierarchy.mshrs = mshrs,
+        }
+    }
 }
 
 /// The memo identity of one cluster run: the system label plus the `Debug`
@@ -361,13 +444,25 @@ mod tests {
         assert_eq!(memo.len(), 2);
     }
 
+    fn stock(system: SystemSpec, seed: u64) -> Run {
+        Run::stock(system, tiny(), seed)
+    }
+
+    /// The memo key `run` resolves to.
+    fn key(run: Run) -> String {
+        let configs = resolved_configs(run.system, run.scale, run.seed, |cfg| {
+            run.tweak.apply(cfg);
+        });
+        memo_key(run.system, &configs)
+    }
+
     #[test]
     fn memo_key_separates_configs_beyond_the_hash() {
         // Resolved configs that differ in one field get distinct keys and
         // so distinct cells; resolving the same config again shares one.
         let sys = SystemSpec::no_harvest();
         let a = resolved_configs(sys, tiny(), 9, |_| {});
-        let b = resolved_configs(sys, tiny(), 9, |cfg| cfg.requests_per_vm = 20);
+        let b = resolved_configs(sys, tiny(), 9, |cfg| Tweak::RqChunks(16).apply(cfg));
         let memo = MemoTable::new();
         let cell_a = memo.cell(&memo_key(sys, &a));
         let cell_b = memo.cell(&memo_key(sys, &b));
@@ -378,27 +473,68 @@ mod tests {
 
     #[test]
     fn identical_requests_simulate_once() {
+        // A request list that repeats runs: metrics come back in request
+        // order, and each memo key simulates once. A relabelled copy of
+        // `a` shares its run, since the label names a row, not a run.
         let plan = RunPlan::with_workers(2);
-        let a = plan.run_cluster(SystemSpec::no_harvest(), tiny(), 9);
-        let b = plan.run_cluster(SystemSpec::no_harvest(), tiny(), 9);
-        assert_eq!(plan.sims_run(), 1);
-        assert_eq!(plan.memo_hits(), 1);
-        assert_eq!(a.completed(), b.completed());
+        let a = stock(SystemSpec::no_harvest(), 9);
+        let b = stock(SystemSpec::no_harvest_named("No-Move"), 9);
+        let a_row = Run {
+            label: "again",
+            ..a
+        };
+        let out = plan.run_all(&[a, b, a, a_row, b]);
+        let systems: Vec<&str> = out.iter().map(ClusterMetrics::system).collect();
         assert_eq!(
-            a.pooled_latency_ms().values(),
-            b.pooled_latency_ms().values()
+            systems,
+            ["NoHarvest", "No-Move", "NoHarvest", "NoHarvest", "No-Move"]
+        );
+        assert_eq!(plan.sims_run(), 2);
+        assert_eq!(plan.memo_hits(), 3);
+        assert_eq!(out[0].completed(), out[3].completed());
+        assert_eq!(
+            out[0].pooled_latency_ms().values(),
+            out[3].pooled_latency_ms().values()
         );
     }
 
     #[test]
     fn different_tweaks_do_not_collide() {
         let plan = RunPlan::with_workers(2);
-        let a = plan.run_cluster(SystemSpec::no_harvest(), tiny(), 9);
-        let b = plan.run_cluster_with(SystemSpec::no_harvest(), tiny(), 9, |cfg| {
-            cfg.requests_per_vm = 20;
-        });
+        let a = stock(SystemSpec::no_harvest(), 9);
+        let b = Run {
+            tweak: Tweak::RqChunks(16),
+            ..a
+        };
+        assert_ne!(key(a), key(b));
+        plan.run_all(&[a, b]);
         assert_eq!(plan.sims_run(), 2);
-        assert_ne!(a.completed(), b.completed());
+        assert_eq!(plan.memo_hits(), 0);
+    }
+
+    #[test]
+    fn every_figure_tweak_moves_the_memo_key() {
+        // The off-Table-1 values the figures sweep. A tweak that silently
+        // did nothing would alias its sweep row to the baseline run.
+        let tweaks = [
+            Tweak::Capacity {
+                frac: 1.0,
+                infinite: true,
+            },
+            Tweak::Capacity {
+                frac: 0.25,
+                infinite: false,
+            },
+            Tweak::LlcPerCoreBytes(524_288),
+            Tweak::EvictionCandidates(0.25),
+            Tweak::HarvestFrac(1.0 / 3.0),
+            Tweak::RqChunks(9),
+            Tweak::Mshrs(Some(8)),
+        ];
+        let base = stock(SystemSpec::hardharvest_block(), 9);
+        for tweak in tweaks {
+            assert_ne!(key(Run { tweak, ..base }), key(base), "{tweak:?}");
+        }
     }
 
     #[test]

@@ -5,11 +5,7 @@ use hh_core::{Experiments, Scale};
 
 fn mini() -> Experiments {
     Experiments {
-        scale: Scale {
-            servers: 1,
-            requests_per_vm: 60,
-            rps_per_vm: 800.0,
-        },
+        scale: Scale::mini(),
         seed: 0xF16,
         ..Experiments::quick()
     }
